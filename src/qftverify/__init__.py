@@ -53,11 +53,8 @@ from .abstraction import (
     TypeErrorKind,
     WireType,
     WireTyping,
-    abstract_h,
-    abstract_rn,
     eval_bits,
     run_abstract,
-    symbolic_add_mod,
     typecheck,
 )
 from .checker import (
@@ -69,6 +66,7 @@ from .checker import (
     find_counterexample,
     target_vector,
     verify_circuit,
+    verify_lines,
 )
 from .smt import (
     ModelAssignment,

@@ -18,8 +18,9 @@ errors that expose structural circuit defects.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .boolexpr import FALSE, BoolExpr, and_, evaluate, var, xor
 from .circuit import CircuitDescription, GateInstance
@@ -32,9 +33,7 @@ __all__ = [
     "SymbolicBitVector",
     "AbstractOutputs",
     "typecheck",
-    "abstract_h",
-    "abstract_rn",
-    "symbolic_add_mod",
+    "group_gates_by_line",
     "run_abstract",
     "eval_bits",
     "bits_to_string",
@@ -101,59 +100,12 @@ class SymbolicBitVector:
     def zero(cls, m: int) -> "SymbolicBitVector":
         return cls(m, (FALSE,) * m)
 
-    @classmethod
-    def one_hot(cls, n: int, m: int, value: BoolExpr) -> "SymbolicBitVector":
-        """``value`` at bit position n (weight 2**-n), zero elsewhere."""
-        if not 1 <= n <= m:
-            raise ValueError(f"bit position {n} out of range 1..{m}")
-        bits = [FALSE] * m
-        bits[n - 1] = value
-        return cls(m, tuple(bits))
-
     def bit(self, p: int) -> BoolExpr:
         """Bit p, 1-based from the most significant fractional position."""
         return self.bits[p - 1]
 
     def __str__(self) -> str:
         return "<." + " ".join(str(b) for b in self.bits) + ">"
-
-
-def abstract_h(qc: BoolExpr, m: int) -> SymbolicBitVector:
-    """H on a Control value: rotation 1/2 of a turn iff the input is 1.
-
-    Output bits are (qc, 0, ..., 0): a half-turn when qc holds, none
-    otherwise.
-    """
-    return SymbolicBitVector.one_hot(1, m, qc)
-
-
-def abstract_rn(qc: BoolExpr, qd: SymbolicBitVector, n: int, m: int) -> SymbolicBitVector:
-    """Controlled rotation of order n: add 2**-n of a turn iff qc holds.
-
-    The conditional add is expressed by ANDing the control into the one-hot
-    addend, which coincides with if-then-else branching on every concrete
-    control value and stays total on symbolic ones.
-    """
-    if qd.width != m:
-        raise ValueError(f"data width {qd.width} does not match m={m}")
-    if not 1 <= n <= m:
-        raise ValueError(f"rotation order {n} not representable in {m} fractional bits")
-    return symbolic_add_mod(qd, SymbolicBitVector.one_hot(n, m, qc))
-
-
-def symbolic_add_mod(a: SymbolicBitVector, b: SymbolicBitVector) -> SymbolicBitVector:
-    """Fixed-point modular addition: ripple-carry from bit m up, carry out of
-    bit 1 discarded (values wrap modulo one full rotation)."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    bits = list(a.bits)
-    carry = FALSE
-    for p in range(a.width - 1, -1, -1):
-        x, y = bits[p], b.bits[p]
-        bits[p] = xor(xor(x, y), carry)
-        # majority(x, y, carry) over GF(2): xy ^ carry(x ^ y)
-        carry = xor(and_(x, y), and_(carry, xor(x, y)))
-    return SymbolicBitVector(a.width, tuple(bits))
 
 
 def eval_bits(v: SymbolicBitVector, assignment: Mapping[int, int]) -> tuple[int, ...]:
@@ -185,93 +137,81 @@ class AbstractOutputs:
         return self.per_qubit[i - 1]
 
 
-def typecheck(gates_or_circuit: CircuitDescription | Iterable[GateInstance],
-              m: int | None = None) -> WireTyping:
-    """Check the wire-typing discipline; raise CircuitTypeError on violation.
+def _type_and_group(c: CircuitDescription) -> tuple[list[list[GateInstance]], list[int | None]]:
+    """The wire discipline, checked in one program-order walk that groups gates by line.
 
-    Success means every line has at most one H and no rotation targets a line
-    before its H.  Accepts either a circuit or a raw gate iterable with ``m``
-    (the latter lets benchmark sweeps stream huge circuits).
+    A line takes at most one H, and no rotation before it.  The first gate
+    that breaks this raises CircuitTypeError, located by program ordinal.
+    Returns each line's gates (index 0 holds line 1; a line's list is empty
+    exactly when it never receives an H) and each line's H ordinal.
     """
-    if isinstance(gates_or_circuit, CircuitDescription):
-        gates: Iterable[GateInstance] = gates_or_circuit.gates
-        m = gates_or_circuit.m
-    else:
-        gates = gates_or_circuit
-        if m is None:
-            raise ValueError("m is required when typechecking a raw gate iterable")
-    h_at: list[int | None] = [None] * m
-    rotated_since_h = [False] * m
-    for ordinal, gate in enumerate(gates, start=1):
+    lines: list[list[GateInstance]] = [[] for _ in range(c.m)]
+    h_at: list[int | None] = [None] * c.m
+    for ordinal, gate in enumerate(c.gates, start=1):
         line = gate.target
+        gates = lines[line - 1]
         if gate.kind == "H":
-            if h_at[line - 1] is not None:
-                if rotated_since_h[line - 1]:
-                    raise CircuitTypeError(
-                        TypeErrorKind.H_ON_DATA_WIRE, line, ordinal,
-                        f"H applied to line {line} after it became a data wire",
-                    )
+            if len(gates) > 1:
+                raise CircuitTypeError(
+                    TypeErrorKind.H_ON_DATA_WIRE, line, ordinal,
+                    f"H applied to line {line} after it became a data wire",
+                )
+            if gates:
                 raise CircuitTypeError(
                     TypeErrorKind.DUPLICATE_H, line, ordinal,
                     f"second H gate on line {line}",
                 )
             h_at[line - 1] = ordinal
-        else:
-            if h_at[line - 1] is None:
-                raise CircuitTypeError(
-                    TypeErrorKind.RN_DATA_PORT_GOT_CONTROL, line, ordinal,
-                    f"rotation targets line {line}, which has no preceding H "
-                    f"(control value on a data port)",
-                )
-            rotated_since_h[line - 1] = True
-    return WireTyping(tuple(h_at))
+        elif not gates:
+            raise CircuitTypeError(
+                TypeErrorKind.RN_DATA_PORT_GOT_CONTROL, line, ordinal,
+                f"rotation targets line {line}, which has no preceding H "
+                f"(control value on a data port)",
+            )
+        gates.append(gate)
+    return lines, h_at
 
 
-def _interpret_line(m: int, items: Sequence[tuple[int, GateInstance]]) -> list[BoolExpr] | None:
-    """Run one line's gates under the abstract semantics.
+def typecheck(c: CircuitDescription) -> WireTyping:
+    """Check the wire-typing discipline; raise CircuitTypeError on violation.
 
-    ``items`` are (program ordinal, gate) pairs for a single line, already
-    typechecked.  Returns the final bit list, or None if the line never
-    receives an H.  The one-hot adds are done in place with early carry
-    cut-off, so a gate costs O(live carry chain), not O(m).
+    Success means every line has at most one H and no rotation targets a line
+    before its H.
     """
-    bits: list[BoolExpr] | None = None
-    for ordinal, gate in items:
-        if gate.kind == "H":
-            if bits is not None:
-                raise CircuitTypeError(
-                    TypeErrorKind.H_ON_DATA_WIRE, gate.target, ordinal,
-                    "H on a data wire reached the interpreter; typecheck first",
-                )
-            bits = [FALSE] * m
-            bits[0] = var(gate.target)
-        else:
-            if bits is None:
-                raise CircuitTypeError(
-                    TypeErrorKind.RN_DATA_PORT_GOT_CONTROL, gate.target, ordinal,
-                    "rotation on a control wire reached the interpreter; typecheck first",
-                )
-            n = gate.n
-            if n is None or n > m:
-                raise ValueError(f"rotation order {n} not representable in {m} bits")
-            qc = var(gate.control)
-            p = n - 1
-            carry = and_(bits[p], qc)
-            bits[p] = xor(bits[p], qc)
+    return WireTyping(tuple(_type_and_group(c)[1]))
+
+
+def group_gates_by_line(c: CircuitDescription) -> list[list[GateInstance]]:
+    """Typecheck ``c`` and return each line's gates in program order; index 0
+    holds line 1.  Raises CircuitTypeError like typecheck."""
+    return _type_and_group(c)[0]
+
+
+def _interpret_line(m: int, gates: Sequence[GateInstance]) -> list[BoolExpr] | None:
+    """Run one well-typed line's gates under the abstract semantics.
+
+    Returns the final bit list, or None if the line never receives an H (its
+    gate list is then empty).  The one-hot adds are done in place with early
+    carry cut-off, so a gate costs O(live carry chain), not O(m).
+    """
+    if not gates:
+        return None
+    bits = [FALSE] * m
+    bits[0] = var(gates[0].target)
+    for gate in itertools.islice(gates, 1, None):
+        n = gate.n
+        if n > m:
+            raise ValueError(f"rotation order {n} not representable in {m} bits")
+        qc = var(gate.control)
+        p = n - 1
+        carry = and_(bits[p], qc)
+        bits[p] = xor(bits[p], qc)
+        p -= 1
+        while p >= 0 and carry is not FALSE:
+            carry, bits[p] = and_(bits[p], carry), xor(bits[p], carry)
             p -= 1
-            while p >= 0 and carry is not FALSE:
-                carry, bits[p] = and_(bits[p], carry), xor(bits[p], carry)
-                p -= 1
-            # carry out of bit 1 is the modulo-one wrap: dropped
+        # carry out of bit 1 is the modulo-one wrap: dropped
     return bits
-
-
-def group_gates_by_line(c: CircuitDescription) -> list[list[tuple[int, GateInstance]]]:
-    """Per-line (program ordinal, gate) lists; index 0 holds line 1."""
-    lines: list[list[tuple[int, GateInstance]]] = [[] for _ in range(c.m)]
-    for ordinal, gate in enumerate(c.gates, start=1):
-        lines[gate.target - 1].append((ordinal, gate))
-    return lines
 
 
 def run_abstract(c: CircuitDescription) -> AbstractOutputs:
@@ -280,9 +220,8 @@ def run_abstract(c: CircuitDescription) -> AbstractOutputs:
     Gates on distinct lines commute under these semantics (controls tap
     initial values only), so each line is folded independently.
     """
-    typecheck(c)
     outputs: list[SymbolicBitVector | None] = []
-    for items in group_gates_by_line(c):
-        bits = _interpret_line(c.m, items)
+    for gates in group_gates_by_line(c):
+        bits = _interpret_line(c.m, gates)
         outputs.append(None if bits is None else SymbolicBitVector(c.m, tuple(bits)))
     return AbstractOutputs(c.m, tuple(outputs))

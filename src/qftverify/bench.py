@@ -8,37 +8,27 @@ without instrumentation so the numbers stay clean); it is approximate by
 nature and recorded as such.
 
 Sizes above the desk-scale cap are skipped unless explicitly allowed, and a
-skip is marked in the results rather than silently dropped.  Huge sizes are
+skip is marked in the results rather than silently dropped.  Every size is
 verified by streaming the generated gates line by line instead of
-materializing tens of millions of gate objects.
+materializing millions of gate objects.
 """
 
 from __future__ import annotations
 
 import csv
-import time
+import itertools
 import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
-from .abstraction import CircuitTypeError, _interpret_line
-from .boolexpr import DEFAULT_TERM_BUDGET
-from .checker import (
-    TYPE_ERROR,
-    VERIFIED,
-    CheckerConfig,
-    VerificationReport,
-    _check_line_bits,
-    verify_circuit,
-)
+from .checker import VERIFIED, CheckerConfig, verify_lines
 from .circuit import (
     CircuitDescription,
     ErrorSpec,
     GateInstance,
     IncorrectControl,
     IncorrectGateOrder,
-    generate_qft,
     inject_error,
     iter_qft_gates,
     qft_gate_count,
@@ -58,9 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 2048
-
-# Above this size circuits are stream-verified instead of materialized.
-STREAM_THRESHOLD = DEFAULT_SIZE_CAP
 
 TABLE_SCENARIOS = ("correct", "gate-2", "gate-n", "control-2", "control-n")
 
@@ -122,154 +109,47 @@ def scenario_error_spec(name: str, m: int) -> ErrorSpec | None:
     raise ValueError(f"unknown scenario {name!r}; expected one of {', '.join(TABLE_SCENARIOS)}")
 
 
-def _report_stat_ms(report: VerificationReport, fallback_ms: float) -> tuple[float, str]:
-    """(reported milliseconds, backend) per the per-qubit methodology."""
-    if report.overall == TYPE_ERROR or not report.records:
-        return fallback_ms, "anf"
-    if report.overall == VERIFIED:
-        worst = max(report.records, key=lambda rec: rec.millis)
-        return worst.millis, worst.backend
-    for rec in report.records:
-        if rec.verdict.status != VERIFIED:
-            return rec.millis, rec.backend
-    return fallback_ms, "anf"
+def _qft_lines(m: int, spec: ErrorSpec | None) -> Iterator[list[GateInstance]]:
+    """The generated circuit with ``spec`` applied, cut into lines, one at a time.
+
+    The canonical generator emits each line's gates contiguously, and gate
+    and control mutations keep every gate on its line and every line well
+    typed, so the mutated line is made by inject_error on that line alone and
+    the whole circuit never exists at once.
+    """
+    if spec is not None and not isinstance(spec, (IncorrectGateOrder, IncorrectControl)):
+        raise ValueError(f"streaming benchmarks support gate and control mutations, not {spec!r}")
+    gates = iter_qft_gates(m)
+    for i in range(1, m + 1):
+        line = list(itertools.islice(gates, m - i + 1))
+        if spec is not None and spec.target == i:
+            line = list(inject_error(CircuitDescription(m, tuple(line)), spec).gates)
+        yield line
 
 
-def _measure_verify(c: CircuitDescription, cfg: BenchConfig) -> BenchRecord:
+def _measure(m: int, spec: ErrorSpec | None, label: str, cfg: BenchConfig) -> BenchRecord:
     checker_cfg = CheckerConfig(exhaustive=cfg.exhaustive)
+    gates = qft_gate_count(m)
+
+    def verify():
+        return verify_lines(m, gates, _qft_lines(m, spec), checker_cfg)
+
     mem_mb = 0.0
     if cfg.measure_memory:
         tracemalloc.start()
-        verify_circuit(c, checker_cfg)
+        verify()
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         mem_mb = peak / (1024.0 * 1024.0)
-    best_ms = None
-    backend = "anf"
-    verdict = ""
+    best = None
     for _ in range(max(1, cfg.repeats)):
-        t0 = time.perf_counter()
-        report = verify_circuit(c, checker_cfg)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        ms, backend = _report_stat_ms(report, wall_ms)
-        verdict = report.overall
-        if best_ms is None or ms < best_ms:
-            best_ms = ms
-    return BenchRecord(
-        qubits=c.m, gates=c.gate_count, scenario="", verdict=verdict,
-        backend=backend, time_s=best_ms / 1000.0, mem_mb=round(mem_mb, 3),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Streaming path for huge sizes
-# ---------------------------------------------------------------------------
-#
-# The canonical generator emits each line's gates contiguously, and the
-# standard scenario mutations keep every gate on its own line, so the stream
-# can be interpreted and checked one line at a time in O(m) live state.
-
-
-def _mutated_qft_stream(m: int, spec: ErrorSpec | None) -> Iterable[GateInstance]:
-    if spec is None:
-        yield from iter_qft_gates(m)
-        return
-    if not isinstance(spec, (IncorrectGateOrder, IncorrectControl)):
-        raise ValueError(f"streaming benchmarks support gate and control mutations, not {spec!r}")
-    seen_r = 0
-    for g in iter_qft_gates(m):
-        if g.kind == "R" and g.target == spec.target:
-            seen_r += 1
-            if seen_r == spec.ordinal:
-                if isinstance(spec, IncorrectGateOrder):
-                    g = GateInstance("R", g.target, n=spec.wrong_n, control=g.control)
-                else:
-                    g = GateInstance("R", g.target, n=g.n, control=spec.wrong_control)
-        yield g
-    if seen_r < getattr(spec, "ordinal", 0):
-        raise ValueError(f"line {spec.target} has no rotation ordinal {spec.ordinal}")
-
-
-def _stream_verify(m: int, spec: ErrorSpec | None, exhaustive: bool) -> tuple[str, float, int]:
-    """Verify a generated (optionally mutated) circuit without materializing it.
-
-    Returns (overall verdict, reported milliseconds, gates seen).  Assumes
-    line-contiguous gate order, which the generator guarantees and the
-    supported mutations preserve.
-    """
-    gates_seen = 0
-    current_line = 0
-    items: list[tuple[int, GateInstance]] = []
-    done: set[int] = set()
-    worst_ms = 0.0
-    failing_ms: float | None = None
-    overall = VERIFIED
-
-    def finish_line() -> bool:
-        nonlocal worst_ms, failing_ms, overall
-        if current_line == 0:
-            return True
-        t0 = time.perf_counter()
-        try:
-            bits = _interpret_line(m, items)
-            verdict = _check_line_bits(bits, current_line, m, DEFAULT_TERM_BUDGET)
-        except CircuitTypeError:
-            overall = TYPE_ERROR
-            return False
-        ms = (time.perf_counter() - t0) * 1000.0
-        worst_ms = max(worst_ms, ms)
-        if verdict.status != VERIFIED:
-            if overall == VERIFIED:
-                overall = verdict.status
-                failing_ms = ms
-            return exhaustive
-        return True
-
-    for ordinal, gate in enumerate(_mutated_qft_stream(m, spec), start=1):
-        gates_seen += 1
-        if gate.target != current_line:
-            if not finish_line():
-                return overall, failing_ms if failing_ms is not None else worst_ms, gates_seen
-            if gate.target in done:
-                raise ValueError("gate stream is not line-contiguous; cannot stream-verify")
-            done.add(current_line)
-            current_line = gate.target
-            items = []
-        items.append((ordinal, gate))
-    finish_line()
-    reported = failing_ms if failing_ms is not None else worst_ms
-    return overall, reported, gates_seen
-
-
-def _bench_one(m: int, scenario: str, cfg: BenchConfig) -> BenchRecord:
-    spec = scenario_error_spec(scenario, m)
-    if m > STREAM_THRESHOLD:
-        if cfg.measure_memory:
-            tracemalloc.start()
-            _stream_verify(m, spec, cfg.exhaustive)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            mem_mb = peak / (1024.0 * 1024.0)
-        else:
-            mem_mb = 0.0
-        best_ms = None
-        verdict = ""
-        gates = qft_gate_count(m)
-        for _ in range(max(1, cfg.repeats)):
-            verdict, ms, _ = _stream_verify(m, spec, cfg.exhaustive)
-            if best_ms is None or ms < best_ms:
-                best_ms = ms
-        return BenchRecord(qubits=m, gates=gates, scenario=scenario, verdict=verdict,
-                           backend="anf", time_s=best_ms / 1000.0, mem_mb=round(mem_mb, 3))
-    circuit = generate_qft(m)
-    if spec is not None:
-        circuit = inject_error(circuit, spec)
-    record = _measure_verify(circuit, cfg)
-    return BenchRecord(
-        qubits=record.qubits, gates=record.gates, scenario=scenario,
-        verdict=record.verdict, backend=record.backend,
-        time_s=record.time_s, mem_mb=record.mem_mb,
-    )
+        report = verify()
+        failing = [rec for rec in report.records if rec.verdict.status != VERIFIED]
+        rec = failing[0] if failing else max(report.records, key=lambda r: r.millis)
+        if best is None or rec.millis < best.millis:
+            best = rec
+    return BenchRecord(qubits=m, gates=gates, scenario=label, verdict=report.overall,
+                       backend=best.backend, time_s=best.millis / 1000.0, mem_mb=round(mem_mb, 3))
 
 
 def run_bench(cfg: BenchConfig) -> BenchResult:
@@ -281,7 +161,7 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
             result.skipped_sizes.append(m)
             continue
         for scenario in cfg.scenarios:
-            result.records.append(_bench_one(m, scenario, cfg))
+            result.records.append(_measure(m, scenario_error_spec(scenario, m), scenario, cfg))
     return result
 
 
@@ -294,30 +174,12 @@ def run_position_sweep(m: int, positions: Sequence[int], repeats: int = 3,
     incorrect-gate@q<k>.
     """
     result = BenchResult()
-    base = generate_qft(m) if m <= STREAM_THRESHOLD else None
     cfg = BenchConfig(repeats=repeats, measure_memory=measure_memory)
     for k in positions:
         if not 1 <= k <= m - 1:
             raise ValueError(f"position {k} out of range 1..{m - 1}")
         spec = IncorrectGateOrder(target=k, ordinal=1, wrong_n=3)
-        if base is not None:
-            record = _measure_verify(inject_error(base, spec), cfg)
-            record = BenchRecord(
-                qubits=record.qubits, gates=record.gates,
-                scenario=f"incorrect-gate@q{k}", verdict=record.verdict,
-                backend=record.backend, time_s=record.time_s, mem_mb=record.mem_mb,
-            )
-        else:
-            best_ms = None
-            verdict = ""
-            for _ in range(max(1, repeats)):
-                verdict, ms, _ = _stream_verify(m, spec, exhaustive=False)
-                if best_ms is None or ms < best_ms:
-                    best_ms = ms
-            record = BenchRecord(qubits=m, gates=qft_gate_count(m),
-                                 scenario=f"incorrect-gate@q{k}", verdict=verdict,
-                                 backend="anf", time_s=best_ms / 1000.0, mem_mb=0.0)
-        result.records.append(record)
+        result.records.append(_measure(m, spec, f"incorrect-gate@q{k}", cfg))
     return result
 
 

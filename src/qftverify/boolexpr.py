@@ -205,9 +205,6 @@ class ANFPoly:
     def __xor__(self, other: "ANFPoly") -> "ANFPoly":
         return ANFPoly(self.monomials.symmetric_difference(other.monomials))
 
-    def __and__(self, other: "ANFPoly") -> "ANFPoly":
-        return self.mul(other, DEFAULT_TERM_BUDGET)
-
     def mul(self, other: "ANFPoly", budget: int) -> "ANFPoly":
         """GF(2) product, with XOR cancellation of repeated monomials."""
         if len(self.monomials) * len(other.monomials) > 4 * budget:
@@ -230,12 +227,6 @@ class ANFPoly:
             if all(assignment[v] for v in mono):
                 value ^= 1
         return value
-
-    def variables(self) -> frozenset:
-        out: set = set()
-        for mono in self.monomials:
-            out |= mono
-        return frozenset(out)
 
     def sorted_monomials(self) -> list[tuple[int, ...]]:
         """Monomials as sorted tuples, ordered by (degree, variable indices)."""

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .boolexpr import (
     DEFAULT_TERM_BUDGET,
@@ -33,9 +32,8 @@ from .abstraction import (
     bits_to_string,
     eval_bits,
     group_gates_by_line,
-    typecheck,
 )
-from .circuit import CircuitDescription
+from .circuit import CircuitDescription, GateInstance
 
 __all__ = [
     "CheckerConfig",
@@ -45,6 +43,7 @@ __all__ = [
     "target_vector",
     "check_qubit",
     "find_counterexample",
+    "verify_lines",
     "verify_circuit",
     "SolverUnavailableError",
 ]
@@ -67,16 +66,13 @@ class CheckerConfig:
     external solver, "auto" uses ANF and falls back to the solver only when
     the term budget overflows.  Short-circuit (exhaustive=False) stops at the
     first non-verified qubit, which is the error-hunting default; exhaustive
-    mode checks all qubits for certification.  workers > 1 fans per-qubit
-    checks out to a thread pool (effective for solver processes; report
-    assembly stays deterministic by qubit index).
+    mode checks all qubits for certification.
     """
 
     backend: str = "anf"
     exhaustive: bool = False
     anf_budget: int = DEFAULT_TERM_BUDGET
     solver: "object | None" = None  # smt.SolverConfig; untyped to avoid an import cycle
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -251,22 +247,20 @@ def check_qubit(outputs: AbstractOutputs, i: int,
     return _check_line_bits(None if vec is None else vec.bits, i, outputs.width, budget)
 
 
-def _verify_one_qubit(line_items, i: int, m: int, cfg: CheckerConfig,
+def _verify_one_qubit(gates: Sequence[GateInstance], i: int, m: int, cfg: CheckerConfig,
                       smt_check: "Callable | None") -> QubitRecord:
     start = time.perf_counter()
     backend = "anf"
     if cfg.backend == "smt":
-        if smt_check is None:
-            raise SolverUnavailableError("smt backend requested but no solver is configured")
-        verdict = smt_check(i)
+        verdict = smt_check(i, gates)
         backend = "smt"
     else:
         try:
-            bits = _interpret_line(m, line_items)
+            bits = _interpret_line(m, gates)
             verdict = _check_line_bits(bits, i, m, cfg.anf_budget)
         except AnfBudgetError as exc:
             if cfg.backend == "auto" and smt_check is not None:
-                verdict = smt_check(i)
+                verdict = smt_check(i, gates)
                 backend = "smt"
             else:
                 verdict = QubitVerdict(
@@ -277,58 +271,53 @@ def _verify_one_qubit(line_items, i: int, m: int, cfg: CheckerConfig,
     return QubitRecord(verdict=verdict, backend=backend, millis=millis)
 
 
-def verify_circuit(c: CircuitDescription, cfg: CheckerConfig | None = None) -> VerificationReport:
-    """Typecheck, interpret, and decide every qubit of a circuit.
+def verify_lines(m: int, gate_count: int, lines: Iterable[Sequence[GateInstance]],
+                 cfg: CheckerConfig, smt_check: "Callable | None" = None) -> VerificationReport:
+    """Decide every qubit of a circuit given as well-typed per-line gate lists.
 
-    Per-qubit work (interpreting that line's gates and checking its output)
-    is timed separately so reported times reflect the independent per-qubit
-    obligations rather than the whole-circuit sweep.  Qubits are reported in
-    ascending index order; in short-circuit mode the scan stops at the first
-    non-verified qubit.
+    ``lines`` yields line 1, 2, .. in order and is consumed lazily, one line
+    at a time, so a streamed circuit never needs to exist whole.  Per-qubit
+    work (interpreting that line's gates and checking its output) is timed
+    separately so reported times reflect the independent per-qubit
+    obligations rather than the whole-circuit sweep.  In short-circuit mode
+    no line is pulled after the first non-verified qubit.  ``smt_check(i,
+    gates)`` decides one qubit with a solver (see smt.make_qubit_checker).
     """
-    cfg = cfg or CheckerConfig()
-    report = VerificationReport(qubits=c.m, gate_count=c.gate_count, overall=VERIFIED)
-    try:
-        typecheck(c)
-    except CircuitTypeError as exc:
-        report.overall = TYPE_ERROR
-        report.type_error_kind = exc.kind.value
-        report.type_error_line = exc.line
-        report.type_error_gate = exc.gate_ordinal
-        report.type_error_message = str(exc)
-        return report
-
-    lines = group_gates_by_line(c)
-    smt_check = None
-    if cfg.backend in ("smt", "auto") and cfg.solver is not None:
-        from . import smt
-
-        smt_check = smt.make_qubit_checker(c, lines, cfg.solver)
     if cfg.backend == "smt" and smt_check is None:
         raise SolverUnavailableError("smt backend requested but no solver is configured")
+    report = VerificationReport(qubits=m, gate_count=gate_count, overall=VERIFIED)
+    for i, gates in enumerate(lines, start=1):
+        rec = _verify_one_qubit(gates, i, m, cfg, smt_check)
+        report.records.append(rec)
+        if rec.verdict.status != VERIFIED and not cfg.exhaustive:
+            break
 
-    def run(i: int) -> QubitRecord:
-        return _verify_one_qubit(lines[i - 1], i, c.m, cfg, smt_check)
-
-    records: list[QubitRecord] = []
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(run, range(1, c.m + 1)))
-        if not cfg.exhaustive:
-            cut = next((k for k, r in enumerate(records) if r.verdict.status != VERIFIED), None)
-            if cut is not None:
-                records = records[: cut + 1]
-    else:
-        for i in range(1, c.m + 1):
-            rec = run(i)
-            records.append(rec)
-            if rec.verdict.status != VERIFIED and not cfg.exhaustive:
-                break
-    report.records = records
-
-    statuses = [r.verdict.status for r in records]
+    statuses = [r.verdict.status for r in report.records]
     if VIOLATION in statuses:
         report.overall = VIOLATION
     elif UNRESOLVED in statuses:
         report.overall = UNRESOLVED
     return report
+
+
+def verify_circuit(c: CircuitDescription, cfg: CheckerConfig | None = None) -> VerificationReport:
+    """Typecheck, interpret, and decide every qubit of a circuit.
+
+    The whole circuit is typed before any qubit is decided, so a type error
+    outranks every violation.  Qubits are reported in ascending index order.
+    """
+    cfg = cfg or CheckerConfig()
+    try:
+        lines = group_gates_by_line(c)
+    except CircuitTypeError as exc:
+        return VerificationReport(
+            qubits=c.m, gate_count=c.gate_count, overall=TYPE_ERROR,
+            type_error_kind=exc.kind.value, type_error_line=exc.line,
+            type_error_gate=exc.gate_ordinal, type_error_message=str(exc),
+        )
+    smt_check = None
+    if cfg.backend in ("smt", "auto") and cfg.solver is not None:
+        from . import smt
+
+        smt_check = smt.make_qubit_checker(c.m, cfg.solver)
+    return verify_lines(c.m, c.gate_count, lines, cfg, smt_check)

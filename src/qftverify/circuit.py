@@ -110,10 +110,6 @@ class CircuitDescription:
     def gate_count(self) -> int:
         return len(self.gates)
 
-    def gates_on_line(self, line: int) -> list[tuple[int, GateInstance]]:
-        """(1-based program ordinal, gate) pairs targeting ``line``, in order."""
-        return [(k, g) for k, g in enumerate(self.gates, start=1) if g.target == line]
-
 
 def qft_gate_count(m: int) -> int:
     """Gate count of the canonical m-qubit transform circuit: m H gates plus

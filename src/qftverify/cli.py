@@ -74,8 +74,7 @@ def _cmd_verify(args) -> int:
             return EXIT_SOLVER
         if solver is not None and args.timeout is not None:
             solver = smt_mod.SolverConfig(command=solver.command, timeout_s=args.timeout)
-    cfg = CheckerConfig(backend=args.backend, exhaustive=args.exhaustive,
-                        solver=solver, workers=args.workers)
+    cfg = CheckerConfig(backend=args.backend, exhaustive=args.exhaustive, solver=solver)
     report = verify_circuit(circuit, cfg)
     if args.json:
         print(report.to_json())
@@ -167,8 +166,18 @@ def _cmd_bench(args) -> int:
     return EXIT_VERIFIED
 
 
+class _UsageError(Exception):
+    """A command line argparse rejected; the message includes the usage line."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits 2 on a bad command line, which would read as a type error
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qftv",
         description="Verify quantum Fourier transform circuits via rotation abstraction.",
     )
@@ -196,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default=None,
                    help="solver command (overridden by QFTV_SOLVER); used by smt/auto backends")
     p.add_argument("--timeout", type=float, default=None, help="per-obligation solver timeout (s)")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle-check", help="cross-validate against dense simulation (small m)")
@@ -230,8 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except CircuitTypeError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .abstraction import _interpret_line, eval_bits, typecheck
+from .abstraction import _interpret_line, eval_bits, group_gates_by_line
 from .boolexpr import evaluate
 from .checker import QubitVerdict, UNRESOLVED, VERIFIED, VIOLATION, _check_line_bits, target_vector
 from .circuit import CircuitDescription, GateInstance
@@ -104,15 +104,17 @@ def _bv_literal(width: int, hot: int | None) -> str:
     return "#b" + "".join(bits)
 
 
-def _emit_obligation(line_items: Sequence[tuple[int, GateInstance]], i: int, m: int) -> str:
-    """SMT-LIB2 text for one typechecked line.  Deterministic, byte-stable."""
+def _emit_obligation(gates: Sequence[GateInstance], i: int, m: int) -> str:
+    """SMT-LIB2 text for one well-typed line.  Deterministic, byte-stable."""
+    if not gates:
+        raise ValueError(f"line {i} never receives an H gate; it has no bit-vector obligation")
     sort = f"(_ BitVec {m})"
     out = ["(set-logic QF_BV)"]
     for k in range(1, m + 1):
         out.append(f"(declare-const b{k} Bool)")
     zero = _bv_literal(m, None)
     step = -1
-    for _, gate in line_items:
+    for gate in gates:
         if gate.kind == "H":
             term = f"(ite b{gate.target} {_bv_literal(m, 1)} {zero})"
         else:
@@ -120,8 +122,6 @@ def _emit_obligation(line_items: Sequence[tuple[int, GateInstance]], i: int, m: 
             term = f"(bvadd s{step} {addend})"
         step += 1
         out.append(f"(define-fun s{step} () {sort} {term})")
-    if step < 0:
-        raise ValueError(f"line {i} never receives an H gate; it has no bit-vector obligation")
     out.append(f"(define-fun actual () {sort} s{step})")
     pieces = [f"(ite b{k} #b1 #b0)" for k in range(i, m + 1)]
     if i > 1:
@@ -142,27 +142,22 @@ def emit_smt2(c: CircuitDescription, i: int) -> str:
     Type errors are decided before any solver sees the circuit, so this
     raises CircuitTypeError rather than encoding an ill-typed line.
     """
-    typecheck(c)
+    lines = group_gates_by_line(c)
     if not 1 <= i <= c.m:
         raise IndexError(f"qubit {i} out of range 1..{c.m}")
-    items = [(k, g) for k, g in enumerate(c.gates, start=1) if g.target == i]
-    return _emit_obligation(items, i, c.m)
+    return _emit_obligation(lines[i - 1], i, c.m)
 
 
 def write_obligations(c: CircuitDescription, directory: Path | str) -> list[Path]:
     """Write q<i>.smt2 for every qubit that has an obligation; returns paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    typecheck(c)
     paths = []
-    items_by_line: dict[int, list] = {i: [] for i in range(1, c.m + 1)}
-    for k, g in enumerate(c.gates, start=1):
-        items_by_line[g.target].append((k, g))
-    for i in range(1, c.m + 1):
-        if not any(g.kind == "H" for _, g in items_by_line[i]):
+    for i, gates in enumerate(group_gates_by_line(c), start=1):
+        if not gates:
             continue
         path = directory / f"q{i}.smt2"
-        path.write_text(_emit_obligation(items_by_line[i], i, c.m), encoding="utf-8")
+        path.write_text(_emit_obligation(gates, i, c.m), encoding="utf-8")
         paths.append(path)
     return paths
 
@@ -247,30 +242,29 @@ def _children_peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
 
-def make_qubit_checker(c: CircuitDescription, lines: Sequence[Sequence[tuple[int, GateInstance]]],
-                       cfg: SolverConfig) -> Callable[[int], QubitVerdict]:
-    """Per-qubit solver-backed decision procedure for verify_circuit.
+def make_qubit_checker(m: int, cfg: SolverConfig) -> Callable[[int, Sequence[GateInstance]], QubitVerdict]:
+    """Per-qubit solver-backed decision procedure for checker.verify_lines.
 
-    Sat models are re-validated locally against the abstract semantics before
-    a violation is reported, so a nonconforming solver cannot fabricate a
+    The returned ``check(i, gates)`` takes qubit i's well-typed line.  Sat
+    models are re-validated locally against the abstract semantics before a
+    violation is reported, so a nonconforming solver cannot fabricate a
     counterexample.
     """
 
-    def check(i: int) -> QubitVerdict:
-        items = lines[i - 1]
-        if not any(g.kind == "H" for _, g in items):
-            return _check_line_bits(None, i, c.m, budget=0)
+    def check(i: int, gates: Sequence[GateInstance]) -> QubitVerdict:
+        if not gates:
+            return _check_line_bits(None, i, m, budget=0)
         with tempfile.TemporaryDirectory(prefix="qftv-smt-") as tmp:
             path = Path(tmp) / f"q{i}.smt2"
-            path.write_text(_emit_obligation(items, i, c.m), encoding="utf-8")
+            path.write_text(_emit_obligation(gates, i, m), encoding="utf-8")
             result = invoke_solver(cfg, path)
         if result.status == "unsat":
             return QubitVerdict(qubit=i, status=VERIFIED)
         if result.status == "sat":
             assignment = dict(result.model.values)
-            bits = _interpret_line(c.m, items)
+            bits = _interpret_line(m, gates)
             actual = tuple(evaluate(b, assignment) for b in bits)
-            expected = eval_bits(target_vector(i, c.m), assignment)
+            expected = eval_bits(target_vector(i, m), assignment)
             if actual == expected:
                 return QubitVerdict(
                     qubit=i, status=UNRESOLVED,

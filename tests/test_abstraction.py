@@ -8,20 +8,20 @@ from qftverify.abstraction import (
     CircuitTypeError,
     SymbolicBitVector,
     TypeErrorKind,
-    abstract_h,
-    abstract_rn,
+    _interpret_line,
     eval_bits,
+    group_gates_by_line,
     run_abstract,
-    symbolic_add_mod,
     typecheck,
 )
-from qftverify.boolexpr import FALSE, TRUE, anf_normalize, var
+from qftverify.boolexpr import FALSE, anf_normalize, var, xor
 from qftverify.circuit import (
     CircuitDescription,
     DuplicateH,
     GateInstance,
     IncorrectControl,
     MissingH,
+    enumerate_error_specs,
     generate_qft,
     inject_error,
 )
@@ -36,95 +36,94 @@ def value_of(v: SymbolicBitVector, assignment) -> Fraction:
     return Fraction(bits_as_int(eval_bits(v, assignment)), 2 ** v.width)
 
 
+def H(target):
+    return GateInstance("H", target)
+
+
+def R(target, n, control):
+    return GateInstance("R", target, n=n, control=control)
+
+
+def line_value(m, gates, assignment):
+    """Concrete bits of a line's final bit-vector under an input assignment."""
+    return eval_bits(vec(*_interpret_line(m, gates)), assignment)
+
+
 class TestAbstractH:
     def test_one_input(self):
-        assert abstract_h(TRUE, 3) == vec(TRUE, FALSE, FALSE)
+        assert line_value(3, [H(2)], {2: 1}) == (1, 0, 0)
 
     def test_zero_input(self):
-        assert abstract_h(FALSE, 3) == vec(FALSE, FALSE, FALSE)
+        assert line_value(3, [H(2)], {2: 0}) == (0, 0, 0)
 
     def test_symbolic_input(self):
-        assert abstract_h(var(2), 3) == vec(var(2), FALSE, FALSE)
+        # H puts the line's own input at the half-turn bit
+        assert _interpret_line(3, [H(2)]) == [var(2), FALSE, FALSE]
 
 
 class TestAbstractRn:
     def test_concrete_add(self):
         # half turn plus quarter turn
-        out = abstract_rn(TRUE, vec(TRUE, FALSE, FALSE), n=2, m=3)
-        assert out == vec(TRUE, TRUE, FALSE)
+        assert line_value(3, [H(1), R(1, 2, 2)], {1: 1, 2: 1}) == (1, 1, 0)
 
     def test_control_zero_is_identity(self):
-        qd = vec(var(1), var(2), FALSE)
-        assert abstract_rn(FALSE, qd, n=3, m=3) == qd
+        with_r3 = [H(1), R(1, 2, 2), R(1, 3, 3)]
+        for bits in all_basis_inputs(2):
+            sigma = {1: bits[0], 2: bits[1], 3: 0}
+            assert line_value(3, with_r3, sigma) == line_value(3, with_r3[:2], sigma)
 
     def test_symbolic_control_fills_bit(self):
-        out = abstract_rn(var(3), vec(var(1), var(2), FALSE), n=3, m=3)
-        assert out == vec(var(1), var(2), var(3))
+        assert _interpret_line(3, [H(1), R(1, 2, 2), R(1, 3, 3)]) == [var(1), var(2), var(3)]
 
     def test_order_finer_than_width_rejected(self):
         with pytest.raises(ValueError, match="not representable"):
-            abstract_rn(var(2), SymbolicBitVector.zero(3), n=4, m=3)
+            _interpret_line(3, [H(1), R(1, 4, 2)])
 
 
 class TestAddMod:
     def test_concrete_carry(self):
         # 1/8 + 1/8 = 1/4
-        assert symbolic_add_mod(vec(FALSE, FALSE, TRUE), vec(FALSE, FALSE, TRUE)) \
-            == vec(FALSE, TRUE, FALSE)
+        assert line_value(3, [H(1), R(1, 3, 2), R(1, 3, 3)], {1: 0, 2: 1, 3: 1}) == (0, 1, 0)
 
     def test_msb_carry_discarded(self):
-        b = var(1)
-        out = symbolic_add_mod(vec(b, FALSE, FALSE), vec(b, FALSE, FALSE))
-        # truth table over b: b=0 gives 0, b=1 gives 1/2+1/2 = 1 = 0 (mod 1)
-        assert out == vec(FALSE, FALSE, FALSE)
+        bits = _interpret_line(3, [H(1), R(1, 1, 2)])
+        # b1=b2=1 gives 1/2+1/2 = 1 = 0 (mod 1): the carry out of bit 1 is gone
+        assert bits == [xor(var(1), var(2)), FALSE, FALSE]
 
     def test_carry_into_next_bit(self):
-        b = var(1)
-        out = symbolic_add_mod(vec(FALSE, FALSE, b), vec(FALSE, FALSE, b))
-        # two eighth turns make one quarter turn, for either value of b
-        assert out == vec(FALSE, b, FALSE)
+        # two eighth turns make one quarter turn, for either value of b2
+        assert _interpret_line(3, [H(1), R(1, 3, 2), R(1, 3, 2)]) == [var(1), var(2), FALSE]
 
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="width mismatch"):
-            symbolic_add_mod(SymbolicBitVector.zero(2), SymbolicBitVector.zero(3))
-
-    def _random_vec(self, rng, width, num_vars):
-        bits = []
-        for _ in range(width):
-            roll = rng.random()
-            if roll < 0.3:
-                bits.append(FALSE)
-            elif roll < 0.4:
-                bits.append(TRUE)
-            else:
-                bits.append(var(rng.randint(1, num_vars)))
-        return SymbolicBitVector(width, tuple(bits))
+    def _random_rotations(self, rng, width, num_controls):
+        """Rotations on line 1 with controls b2..b(num_controls+1)."""
+        return [R(1, rng.randint(1, width), rng.randint(2, num_controls + 1))
+                for _ in range(rng.randint(0, 6))]
 
     def test_commutative_and_associative(self):
+        # the order of a line's rotations does not change its function
         rng = random.Random(99)
         for _ in range(40):
             width = rng.randint(1, 8)
-            nv = rng.randint(1, 6)
-            a, b, c = (self._random_vec(rng, width, nv) for _ in range(3))
-            ab = symbolic_add_mod(a, b)
-            ba = symbolic_add_mod(b, a)
-            assert [anf_normalize(x) for x in ab.bits] == [anf_normalize(x) for x in ba.bits]
-            left = symbolic_add_mod(ab, c)
-            right = symbolic_add_mod(a, symbolic_add_mod(b, c))
-            assert [anf_normalize(x) for x in left.bits] == [anf_normalize(x) for x in right.bits]
+            rotations = self._random_rotations(rng, width, rng.randint(1, 5))
+            shuffled = rotations[:]
+            rng.shuffle(shuffled)
+            one = _interpret_line(width, [H(1)] + rotations)
+            other = _interpret_line(width, [H(1)] + shuffled)
+            assert [anf_normalize(x) for x in one] == [anf_normalize(x) for x in other]
 
     def test_modulo_law_against_fractions(self):
         rng = random.Random(7)
         for _ in range(40):
             width = rng.randint(1, 8)
-            nv = rng.randint(1, 6)
-            a = self._random_vec(rng, width, nv)
-            b = self._random_vec(rng, width, nv)
-            total = symbolic_add_mod(a, b)
-            for bits in all_basis_inputs(nv):
-                sigma = {k + 1: bits[k] for k in range(nv)}
-                expect = (value_of(a, sigma) + value_of(b, sigma)) % 1
-                assert value_of(total, sigma) == expect
+            nc = rng.randint(1, 5)
+            rotations = self._random_rotations(rng, width, nc)
+            out = vec(*_interpret_line(width, [H(1)] + rotations))
+            for bits in all_basis_inputs(nc + 1):
+                sigma = {k + 1: bits[k] for k in range(nc + 1)}
+                expect = Fraction(sigma[1], 2)
+                for g in rotations:
+                    expect += Fraction(sigma[g.control], 2 ** g.n)
+                assert value_of(out, sigma) == expect % 1
 
 
 class TestTypecheck:
@@ -165,9 +164,23 @@ class TestTypecheck:
         typing = typecheck(CircuitDescription(2, (GateInstance("H", 1),)))
         assert typing.h_gate_ordinal == (1, None)
 
-    def test_raw_iterable_needs_m(self):
-        with pytest.raises(ValueError):
-            typecheck(iter([GateInstance("H", 1)]))
+    def test_grouping_walk_types_like_typecheck(self):
+        base = generate_qft(4)
+        for spec in enumerate_error_specs(base):
+            c = inject_error(base, spec)
+            try:
+                typing = typecheck(c)
+            except CircuitTypeError as exc:
+                with pytest.raises(CircuitTypeError) as info:
+                    group_gates_by_line(c)
+                assert (info.value.kind, info.value.line, info.value.gate_ordinal) \
+                    == (exc.kind, exc.line, exc.gate_ordinal)
+                continue
+            for line, (gates, h) in enumerate(zip(group_gates_by_line(c), typing.h_gate_ordinal), 1):
+                assert [g.target for g in gates] == [line] * len(gates)
+                # a typed line is empty exactly when it has no H, which comes first
+                assert (h is None) == (not gates)
+                assert all(g.kind == ("H" if k == 0 else "R") for k, g in enumerate(gates))
 
     def test_wire_type_query(self):
         from qftverify.abstraction import WireType

@@ -12,7 +12,9 @@ from qftverify.bench import (
     write_csv,
     write_plot_data,
 )
-from qftverify.circuit import IncorrectControl, IncorrectGateOrder
+from qftverify.abstraction import group_gates_by_line
+from qftverify.checker import verify_circuit
+from qftverify.circuit import IncorrectControl, IncorrectGateOrder, generate_qft, inject_error
 from helpers import spearman
 
 
@@ -76,26 +78,32 @@ class TestRunBench:
 
 
 class TestStreaming:
-    def test_streaming_agrees_with_materialized(self, monkeypatch):
-        materialized = run_bench(BenchConfig(sizes=[16], scenarios=TABLE_SCENARIOS,
-                                             measure_memory=False))
-        monkeypatch.setattr(bench, "STREAM_THRESHOLD", 4)
+    @pytest.mark.parametrize("scenario", TABLE_SCENARIOS)
+    def test_streamed_lines_match_grouping(self, scenario):
+        spec = scenario_error_spec(scenario, 9)
+        circuit = generate_qft(9) if spec is None else inject_error(generate_qft(9), spec)
+        assert list(bench._qft_lines(9, spec)) == group_gates_by_line(circuit)
+
+    def test_streaming_agrees_with_materialized(self):
         streamed = run_bench(BenchConfig(sizes=[16], scenarios=TABLE_SCENARIOS,
                                          measure_memory=False))
-        for a, b in zip(materialized.records, streamed.records):
-            assert (a.qubits, a.gates, a.scenario, a.verdict) == (b.qubits, b.gates, b.scenario, b.verdict)
+        for rec in streamed.records:
+            spec = scenario_error_spec(rec.scenario, 16)
+            circuit = generate_qft(16) if spec is None else inject_error(generate_qft(16), spec)
+            assert (rec.qubits, rec.gates, rec.verdict) \
+                == (16, circuit.gate_count, verify_circuit(circuit).overall)
 
-    def test_streaming_position_sweep(self, monkeypatch):
-        monkeypatch.setattr(bench, "STREAM_THRESHOLD", 4)
+    def test_streaming_position_sweep(self):
         result = run_position_sweep(16, [1, 8, 15], repeats=1, measure_memory=False)
-        assert [rec.verdict for rec in result.records] == ["violation"] * 3
+        for k, rec in zip([1, 8, 15], result.records):
+            circuit = inject_error(generate_qft(16), IncorrectGateOrder(k, 1, 3))
+            assert rec.verdict == verify_circuit(circuit).overall == "violation"
 
     def test_streaming_rejects_unsupported_spec(self):
-        from qftverify.bench import _mutated_qft_stream
         from qftverify.circuit import MissingH
 
         with pytest.raises(ValueError, match="streaming"):
-            list(_mutated_qft_stream(8, MissingH(2)))
+            list(bench._qft_lines(8, MissingH(2)))
 
 
 class TestPositionSweep:

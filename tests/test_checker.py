@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qftverify.abstraction import SymbolicBitVector, eval_bits, run_abstract
+from qftverify.abstraction import SymbolicBitVector, eval_bits, group_gates_by_line, run_abstract
 from qftverify.boolexpr import ANFPoly, FALSE, var
 from qftverify.checker import (
     CheckerConfig,
@@ -15,9 +15,11 @@ from qftverify.checker import (
     find_counterexample,
     target_vector,
     verify_circuit,
+    verify_lines,
 )
 from qftverify.circuit import (
     CircuitDescription,
+    DuplicateH,
     GateInstance,
     IncorrectControl,
     IncorrectGateOrder,
@@ -158,11 +160,17 @@ class TestVerifyCircuit:
         assert verdict.counterexample is not None
         assert verdict.expected is not None
 
-    def test_workers_produce_identical_report(self):
-        mutated = inject_error(generate_qft(6), IncorrectGateOrder(target=3, ordinal=2, wrong_n=2))
-        seq = verify_circuit(mutated, CheckerConfig(exhaustive=True))
-        par = verify_circuit(mutated, CheckerConfig(exhaustive=True, workers=4))
-        assert [r.verdict for r in seq.records] == [r.verdict for r in par.records]
+    def test_type_error_outranks_earlier_violation(self):
+        # line 1 is refuted, but the whole circuit is typed before any qubit
+        # is decided, so the later duplicate H on line 5 is what gets reported
+        c = inject_error(generate_qft(5), IncorrectGateOrder(1, 1, 3))
+        c = inject_error(c, DuplicateH(5))
+        inserted = max(k for k, g in enumerate(c.gates, start=1) if g.kind == "H" and g.target == 5)
+        report = verify_circuit(c)
+        assert report.overall == TYPE_ERROR
+        assert report.type_error_kind == "duplicate-h"
+        assert report.type_error_gate == inserted
+        assert report.records == []
 
     def test_budget_overflow_without_solver_is_unresolved(self):
         # many same-position rotations with distinct controls build carry
@@ -189,3 +197,18 @@ class TestVerifyCircuit:
         assert set(entry) >= {"qubit", "verdict", "backend", "millis"}
         assert entry["counterexample"].keys() == {"b1", "b2", "b3"}
         assert entry["expected"].startswith("0.") and entry["actual"].startswith("0.")
+
+
+class TestVerifyLines:
+    def test_short_circuit_stops_pulling_lines(self):
+        c = inject_error(generate_qft(6), IncorrectGateOrder(target=2, ordinal=1, wrong_n=4))
+        lines = group_gates_by_line(c)
+
+        def feed():
+            yield lines[0]
+            yield lines[1]  # refuted
+            raise AssertionError("line 3 was pulled after the first failing line")
+
+        report = verify_lines(6, c.gate_count, feed(), CheckerConfig())
+        assert report.overall == VIOLATION
+        assert [rec.verdict.status for rec in report.records] == [VERIFIED, VIOLATION]

@@ -118,6 +118,17 @@ class TestBench:
 
 
 class TestErrors:
+    def test_usage_errors_exit_3(self, qft3_file, capsys):
+        assert main(["verify"]) == 3
+        assert main(["verify", "-i", str(qft3_file), "--workers", "2"]) == 3
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--help"])
+        assert info.value.code == 0
+        assert "--exhaustive" in capsys.readouterr().out
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["verify", "-i", "/nonexistent/file.json"]) == 3
 
