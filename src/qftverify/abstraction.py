@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .boolexpr import FALSE, BoolExpr, and_, evaluate, var, xor
+from .boolexpr import FALSE, BoolExpr, _evaluate_all, and_, var, xor
 from .circuit import CircuitDescription, GateInstance
 
 __all__ = [
@@ -46,16 +46,10 @@ class WireType(enum.Enum):
 
 
 class TypeErrorKind(enum.Enum):
-    """Wire-kind mismatches; values name the offended gate port.
-
-    RN_CONTROL_PORT_GOT_DATA is unreachable for circuits built from this IR
-    (controls are initial-line taps by construction) and exists so reports
-    can name the case if the invariant is ever broken by hand-built inputs.
-    """
+    """Wire-kind mismatches; values name the offended gate port."""
 
     H_ON_DATA_WIRE = "h-on-data-wire"
     RN_DATA_PORT_GOT_CONTROL = "rn-data-port-got-control"
-    RN_CONTROL_PORT_GOT_DATA = "rn-control-port-got-data"
     DUPLICATE_H = "duplicate-h"
 
 
@@ -109,8 +103,8 @@ class SymbolicBitVector:
 
 
 def eval_bits(v: SymbolicBitVector, assignment: Mapping[int, int]) -> tuple[int, ...]:
-    """Concrete bits of ``v`` under an input assignment."""
-    return tuple(evaluate(bit, assignment) for bit in v.bits)
+    """Concrete bits of ``v`` under an input assignment, in one walk of its DAG."""
+    return tuple(_evaluate_all(v.bits, assignment))
 
 
 def bits_to_string(bits: Sequence[int]) -> str:

@@ -72,7 +72,6 @@ class BenchConfig:
     repeats: int = 1
     size_cap: int = DEFAULT_SIZE_CAP
     allow_huge: bool = False
-    exhaustive: bool = False
     measure_memory: bool = True
 
 
@@ -128,7 +127,7 @@ def _qft_lines(m: int, spec: ErrorSpec | None) -> Iterator[list[GateInstance]]:
 
 
 def _measure(m: int, spec: ErrorSpec | None, label: str, cfg: BenchConfig) -> BenchRecord:
-    checker_cfg = CheckerConfig(exhaustive=cfg.exhaustive)
+    checker_cfg = CheckerConfig()
     gates = qft_gate_count(m)
 
     def verify():

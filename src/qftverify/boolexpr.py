@@ -1,11 +1,13 @@
-"""Hash-consed Boolean expressions and their algebraic normal form.
+"""Boolean expressions and their algebraic normal form.
 
 The rotation semantics only ever combines bits with XOR and AND (that is all a
 ripple-carry adder needs), so expression nodes are limited to the constants 0
-and 1, input variables b1..bm, and those two connectives.  Nodes are interned:
-structurally equal expressions are always the same object, equality is
-identity, and shared subterms cost nothing.  That sharing is what keeps
-circuits with millions of gates tractable.
+and 1, input variables b1..bm, and those two connectives.  Nodes are plain
+objects, not interned: the constants and each variable are single objects,
+so ``e is var(k)`` is an exact test, but structurally equal compound
+expressions built separately are distinct.  Each node memoizes its own normal
+form, so the memo lives exactly as long as the expression and no state is
+shared between verifications.
 
 Equality of Boolean *functions* is decided through the algebraic normal form
 (XOR of AND-monomials), which is canonical: two expressions denote the same
@@ -17,10 +19,8 @@ may then fall back to an external solver.
 
 from __future__ import annotations
 
-import itertools
-import threading
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "BoolExpr",
@@ -49,25 +49,26 @@ class AnfBudgetError(Exception):
 
 
 class BoolExpr:
-    """One interned node of the expression DAG.
+    """One node of the expression DAG.
 
     Never constructed directly; use :data:`FALSE`, :data:`TRUE`, :func:`var`,
-    :func:`xor` and :func:`and_`.  Because nodes are interned, ``a is b`` is
-    both object and structural equality, and the default identity hash is the
-    right one.
+    :func:`xor` and :func:`and_`.  Equality and hashing are by identity, which
+    is structural equality only for the constants and variables; compare the
+    functions of compound nodes with :func:`anf_normalize`.  ``anf`` holds the
+    node's monomial set once it has been normalized (None before).
     """
 
-    __slots__ = ("op", "left", "right", "index", "serial")
+    __slots__ = ("op", "left", "right", "index", "anf")
 
     op: str  # "0" | "1" | "var" | "xor" | "and"
 
     def __init__(self, op: str, left: "BoolExpr | None", right: "BoolExpr | None",
-                 index: int | None, serial: int):
+                 index: int | None, anf: frozenset | None = None):
         self.op = op
         self.left = left
         self.right = right
         self.index = index
-        self.serial = serial
+        self.anf = anf
 
     def __repr__(self) -> str:
         return f"BoolExpr({self})"
@@ -83,43 +84,35 @@ class BoolExpr:
         return f"({self.left}{sym}{self.right})"
 
 
-# Interning table.  setdefault is atomic under the GIL and node content is a
-# pure function of the key, so concurrent construction is safe and yields
-# identical results regardless of interleaving.
-_TABLE: dict[tuple, BoolExpr] = {}
-_SERIAL = itertools.count()
-_ANF_LOCK = threading.Lock()
+# A monomial is a frozenset of variable indices; the empty monomial is the
+# constant 1.  A polynomial is a frozenset of monomials; empty means 0.
+FALSE = BoolExpr("0", None, None, None, frozenset())
+TRUE = BoolExpr("1", None, None, None, frozenset({frozenset()}))
 
-FALSE = _TABLE.setdefault(("0",), BoolExpr("0", None, None, None, next(_SERIAL)))
-TRUE = _TABLE.setdefault(("1",), BoolExpr("1", None, None, None, next(_SERIAL)))
+# One node per variable index, so a line bit that is exactly its target
+# variable is recognised by identity.  setdefault is atomic under the GIL.
+_VARS: dict[int, BoolExpr] = {}
 
 
 def var(index: int) -> BoolExpr:
     """The input variable ``b<index>`` (1-based)."""
     if index < 1:
         raise ValueError(f"variable index must be >= 1, got {index}")
-    key = ("var", index)
-    node = _TABLE.get(key)
+    node = _VARS.get(index)
     if node is None:
-        node = _TABLE.setdefault(key, BoolExpr("var", None, None, index, next(_SERIAL)))
+        node = _VARS.setdefault(index, BoolExpr("var", None, None, index))
     return node
 
 
 def xor(a: BoolExpr, b: BoolExpr) -> BoolExpr:
-    """XOR with local simplification: x^0 = x, x^x = 0, arguments canonically ordered."""
+    """XOR with local simplification: x^0 = x, x^x = 0."""
     if a is FALSE:
         return b
     if b is FALSE:
         return a
     if a is b:
         return FALSE
-    if a.serial > b.serial:
-        a, b = b, a
-    key = ("xor", a.serial, b.serial)
-    node = _TABLE.get(key)
-    if node is None:
-        node = _TABLE.setdefault(key, BoolExpr("xor", a, b, None, next(_SERIAL)))
-    return node
+    return BoolExpr("xor", a, b, None)
 
 
 def and_(a: BoolExpr, b: BoolExpr) -> BoolExpr:
@@ -132,13 +125,40 @@ def and_(a: BoolExpr, b: BoolExpr) -> BoolExpr:
         return a
     if a is b:
         return a
-    if a.serial > b.serial:
-        a, b = b, a
-    key = ("and", a.serial, b.serial)
-    node = _TABLE.get(key)
-    if node is None:
-        node = _TABLE.setdefault(key, BoolExpr("and", a, b, None, next(_SERIAL)))
-    return node
+    return BoolExpr("and", a, b, None)
+
+
+def _evaluate_all(roots: Iterable[BoolExpr], assignment: Mapping[int, int]) -> list[int]:
+    """Values of ``roots`` under an assignment, from one iterative post-order
+    walk with one memo, so shared subterms are evaluated once."""
+    cache: dict[BoolExpr, int] = {FALSE: 0, TRUE: 1}
+    values = []
+    for root in roots:
+        stack = [] if root in cache else [root]
+        while stack:
+            node = stack[-1]
+            if node in cache:
+                stack.pop()
+            elif node.op == "var":
+                if node.index not in assignment:
+                    raise ValueError(f"unassigned variable b{node.index}")
+                cache[node] = 1 if assignment[node.index] else 0
+                stack.pop()
+            else:
+                left, right = node.left, node.right
+                if left in cache and right in cache:
+                    if node.op == "xor":
+                        cache[node] = cache[left] ^ cache[right]
+                    else:
+                        cache[node] = cache[left] & cache[right]
+                    stack.pop()
+                else:
+                    if right not in cache:
+                        stack.append(right)
+                    if left not in cache:
+                        stack.append(left)
+        values.append(cache[root])
+    return values
 
 
 def evaluate(expr: BoolExpr, assignment: Mapping[int, int]) -> int:
@@ -146,45 +166,7 @@ def evaluate(expr: BoolExpr, assignment: Mapping[int, int]) -> int:
 
     Raises ValueError if the expression mentions an unassigned variable.
     """
-    cache: dict[BoolExpr, int] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        if node in cache:
-            stack.pop()
-            continue
-        if node.op == "0":
-            cache[node] = 0
-            stack.pop()
-        elif node.op == "1":
-            cache[node] = 1
-            stack.pop()
-        elif node.op == "var":
-            if node.index not in assignment:
-                raise ValueError(f"unassigned variable b{node.index}")
-            cache[node] = 1 if assignment[node.index] else 0
-            stack.pop()
-        else:
-            left, right = node.left, node.right
-            if left in cache and right in cache:
-                if node.op == "xor":
-                    cache[node] = cache[left] ^ cache[right]
-                else:
-                    cache[node] = cache[left] & cache[right]
-                stack.pop()
-            else:
-                if right not in cache:
-                    stack.append(right)
-                if left not in cache:
-                    stack.append(left)
-    return cache[expr]
-
-
-# A monomial is a frozenset of variable indices; the empty monomial is the
-# constant 1.  A polynomial is a frozenset of monomials; empty means 0.
-Monomial = frozenset
-_ZERO_POLY: frozenset = frozenset()
-_ONE_POLY: frozenset = frozenset({frozenset()})
+    return _evaluate_all((expr,), assignment)[0]
 
 
 @dataclass(frozen=True)
@@ -200,7 +182,7 @@ class ANFPoly:
         return not self.monomials
 
     def is_one(self) -> bool:
-        return self.monomials == _ONE_POLY
+        return self.monomials == TRUE.anf
 
     def __xor__(self, other: "ANFPoly") -> "ANFPoly":
         return ANFPoly(self.monomials.symmetric_difference(other.monomials))
@@ -241,16 +223,6 @@ class ANFPoly:
         return " ^ ".join(parts)
 
 
-ANF_ZERO = ANFPoly(_ZERO_POLY)
-ANF_ONE = ANFPoly(_ONE_POLY)
-
-# Memo of node -> monomial frozenset.  Entries are valid independent of the
-# budget they were computed under; the budget only bounds fresh work.
-_ANF_CACHE: dict[BoolExpr, frozenset] = {}
-_ANF_CACHE[FALSE] = _ZERO_POLY
-_ANF_CACHE[TRUE] = _ONE_POLY
-
-
 def anf_normalize(expr: BoolExpr, budget: int = DEFAULT_TERM_BUDGET) -> ANFPoly:
     """The unique Zhegalkin polynomial of ``expr``.
 
@@ -258,22 +230,18 @@ def anf_normalize(expr: BoolExpr, budget: int = DEFAULT_TERM_BUDGET) -> ANFPoly:
     e1 and e2 denote the same Boolean function.  Raises AnfBudgetError when a
     subresult would exceed ``budget`` monomials.
     """
-    cache = _ANF_CACHE
-    if expr in cache:
-        return ANFPoly(cache[expr])
     stack = [expr]
     while stack:
         node = stack[-1]
-        if node in cache:
+        if node.anf is not None:
             stack.pop()
             continue
         if node.op == "var":
-            cache[node] = frozenset({frozenset({node.index})})
+            node.anf = frozenset({frozenset({node.index})})
             stack.pop()
             continue
         left, right = node.left, node.right
-        lhs = cache.get(left)
-        rhs = cache.get(right)
+        lhs, rhs = left.anf, right.anf
         if lhs is None or rhs is None:
             if rhs is None:
                 stack.append(right)
@@ -286,14 +254,6 @@ def anf_normalize(expr: BoolExpr, budget: int = DEFAULT_TERM_BUDGET) -> ANFPoly:
             result = ANFPoly(lhs).mul(ANFPoly(rhs), budget).monomials
         if len(result) > budget:
             raise AnfBudgetError(budget)
-        cache[node] = result
+        node.anf = result
         stack.pop()
-    return ANFPoly(cache[expr])
-
-
-def clear_caches() -> None:
-    """Drop the ANF memo (the interning table is kept; nodes stay valid)."""
-    with _ANF_LOCK:
-        for key in list(_ANF_CACHE):
-            if key is not FALSE and key is not TRUE:
-                del _ANF_CACHE[key]
+    return ANFPoly(expr.anf)

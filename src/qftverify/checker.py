@@ -209,7 +209,7 @@ def _check_line_bits(bits: Sequence[BoolExpr] | None, i: int, m: int,
         want_index = i + p - 1
         target_bit = var(want_index) if want_index <= m else FALSE
         if actual_bit is target_bit:
-            continue  # interned: identical nodes are identical functions
+            continue  # constants and variables are single objects
         actual_anf = anf_normalize(actual_bit, budget)
         target_anf = anf_normalize(target_bit, budget)
         if actual_anf != target_anf:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .abstraction import _interpret_line, eval_bits, group_gates_by_line
-from .boolexpr import evaluate
+from .abstraction import SymbolicBitVector, _interpret_line, eval_bits, group_gates_by_line
 from .checker import QubitVerdict, UNRESOLVED, VERIFIED, VIOLATION, _check_line_bits, target_vector
 from .circuit import CircuitDescription, GateInstance
 
@@ -262,8 +261,7 @@ def make_qubit_checker(m: int, cfg: SolverConfig) -> Callable[[int, Sequence[Gat
             return QubitVerdict(qubit=i, status=VERIFIED)
         if result.status == "sat":
             assignment = dict(result.model.values)
-            bits = _interpret_line(m, gates)
-            actual = tuple(evaluate(b, assignment) for b in bits)
+            actual = eval_bits(SymbolicBitVector(m, tuple(_interpret_line(m, gates))), assignment)
             expected = eval_bits(target_vector(i, m), assignment)
             if actual == expected:
                 return QubitVerdict(

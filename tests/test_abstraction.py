@@ -88,7 +88,8 @@ class TestAddMod:
     def test_msb_carry_discarded(self):
         bits = _interpret_line(3, [H(1), R(1, 1, 2)])
         # b1=b2=1 gives 1/2+1/2 = 1 = 0 (mod 1): the carry out of bit 1 is gone
-        assert bits == [xor(var(1), var(2)), FALSE, FALSE]
+        want = [xor(var(1), var(2)), FALSE, FALSE]
+        assert [anf_normalize(b) for b in bits] == [anf_normalize(b) for b in want]
 
     def test_carry_into_next_bit(self):
         # two eighth turns make one quarter turn, for either value of b2

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qftverify.boolexpr import (
     ANFPoly,
@@ -13,7 +14,7 @@ from qftverify.boolexpr import (
     var,
     xor,
 )
-from helpers import random_expr, truth_table
+from helpers import all_basis_inputs, random_expr, truth_table
 
 
 def mono(*indices):
@@ -22,8 +23,6 @@ def mono(*indices):
 
 class TestInterning:
     def test_structural_sharing(self):
-        assert xor(var(1), var(2)) is xor(var(2), var(1))
-        assert and_(var(3), var(1)) is and_(var(1), var(3))
         assert var(7) is var(7)
 
     def test_local_simplification(self):
@@ -119,20 +118,47 @@ class TestAnf:
 
 class TestConcurrency:
     def test_parallel_normalization_is_deterministic(self):
-        # normalizing distinct expressions from several threads must agree
-        # with the sequential results (shared tables are append-only)
+        # threads normalizing expressions that share subterms (and so write
+        # the same nodes' memos) agree with a sequential pass over fresh
+        # copies built from the same seed
         from concurrent.futures import ThreadPoolExecutor
 
-        from qftverify.boolexpr import clear_caches
+        def build():
+            rng = random.Random(77)
+            base = [random_expr(rng, 8, 6) for _ in range(16)]
+            return [(xor if rng.random() < 0.5 else and_)(rng.choice(base), rng.choice(base))
+                    for _ in range(64)]
 
-        rng = random.Random(77)
-        exprs = [random_expr(rng, 8, 6) for _ in range(64)]
-        clear_caches()
         with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = list(pool.map(anf_normalize, exprs))
-        clear_caches()
-        sequential = [anf_normalize(e) for e in exprs]
+            parallel = list(pool.map(anf_normalize, build()))
+        sequential = [anf_normalize(e) for e in build()]
         assert parallel == sequential
+
+
+@st.composite
+def shared_dags(draw):
+    """A random DAG over b1..bk whose nodes reuse earlier nodes as operands,
+    with a random order in which to normalize them."""
+    nv = draw(st.integers(1, 6))
+    nodes = [FALSE, TRUE] + [var(k) for k in range(1, nv + 1)]
+    for _ in range(draw(st.integers(1, 25))):
+        left = nodes[draw(st.integers(0, len(nodes) - 1))]
+        right = nodes[draw(st.integers(0, len(nodes) - 1))]
+        nodes.append((xor if draw(st.booleans()) else and_)(left, right))
+    order = draw(st.permutations(range(len(nodes))))
+    return nv, nodes, order
+
+
+class TestAnfProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(shared_dags())
+    def test_anf_matches_truth_table_at_every_node(self, dag):
+        nv, nodes, order = dag
+        polys = {k: anf_normalize(nodes[k]) for k in order}
+        for k, node in enumerate(nodes):
+            rows = tuple(polys[k].evaluate({v + 1: bits[v] for v in range(nv)})
+                         for bits in all_basis_inputs(nv))
+            assert rows == truth_table(node, nv), str(node)
 
 
 class TestAnfPolyOps:

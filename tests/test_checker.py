@@ -1,9 +1,11 @@
+import gc
 import json
 
 import pytest
 
 from qftverify.abstraction import SymbolicBitVector, eval_bits, group_gates_by_line, run_abstract
-from qftverify.boolexpr import ANFPoly, FALSE, var
+from qftverify.bench import _qft_lines, scenario_error_spec
+from qftverify.boolexpr import ANFPoly, BoolExpr, FALSE, var
 from qftverify.checker import (
     CheckerConfig,
     SolverUnavailableError,
@@ -26,8 +28,9 @@ from qftverify.circuit import (
     MissingH,
     generate_qft,
     inject_error,
+    qft_gate_count,
 )
-from helpers import split_rotation
+from helpers import bits_as_int, concrete_line_values, split_rotation
 
 
 def mono(*indices):
@@ -212,3 +215,40 @@ class TestVerifyLines:
         report = verify_lines(6, c.gate_count, feed(), CheckerConfig())
         assert report.overall == VIOLATION
         assert [rec.verdict.status for rec in report.records] == [VERIFIED, VIOLATION]
+
+    def test_deep_carry_witness_matches_concrete_run(self):
+        # gate-n at m = 1024: the witness rides a carry through the whole line,
+        # and both vectors must match integer execution of that line
+        m = 1024
+        spec = scenario_error_spec("gate-n", m)
+        report = verify_lines(m, qft_gate_count(m), _qft_lines(m, spec), CheckerConfig())
+        verdict = report.records[0].verdict
+        assert verdict.status == VIOLATION
+        sigma = tuple(verdict.counterexample[k] for k in range(1, m + 1))
+        mutated_line = next(_qft_lines(m, spec))
+        correct_line = next(_qft_lines(m, None))
+        actual = concrete_line_values(CircuitDescription(m, tuple(mutated_line)), sigma)[0]
+        expected = concrete_line_values(CircuitDescription(m, tuple(correct_line)), sigma)[0]
+        assert bits_as_int(verdict.actual) == actual
+        assert bits_as_int(verdict.expected) == expected
+        assert actual != expected
+
+
+def _live_exprs() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, BoolExpr))
+
+
+class TestExpressionLifetime:
+    def test_live_nodes_do_not_grow_across_verifications(self):
+        # a verification's expressions die with it; only the per-index
+        # variables outlive a call, so four distinct deep-carry bugs on the
+        # same line leave the count flat
+        m = 64
+        counts = []
+        for k in range(1, 5):
+            spec = IncorrectGateOrder(target=1, ordinal=m - 1, wrong_n=m - k)
+            report = verify_circuit(inject_error(generate_qft(m), spec))
+            assert report.overall == VIOLATION
+            counts.append(_live_exprs())
+        assert counts == [counts[0]] * len(counts)
