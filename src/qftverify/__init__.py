@@ -11,7 +11,6 @@ the abstraction at small sizes.
 """
 
 from .boolexpr import (
-    ANFPoly,
     AnfBudgetError,
     BoolExpr,
     DEFAULT_TERM_BUDGET,
@@ -20,6 +19,7 @@ from .boolexpr import (
     and_,
     anf_normalize,
     evaluate,
+    sorted_monomials,
     var,
     xor,
 )
@@ -51,8 +51,6 @@ from .abstraction import (
     CircuitTypeError,
     SymbolicBitVector,
     TypeErrorKind,
-    WireType,
-    WireTyping,
     eval_bits,
     run_abstract,
     typecheck,

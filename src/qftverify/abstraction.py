@@ -26,10 +26,8 @@ from .boolexpr import FALSE, BoolExpr, _evaluate_all, and_, var, xor
 from .circuit import CircuitDescription, GateInstance
 
 __all__ = [
-    "WireType",
     "TypeErrorKind",
     "CircuitTypeError",
-    "WireTyping",
     "SymbolicBitVector",
     "AbstractOutputs",
     "typecheck",
@@ -38,11 +36,6 @@ __all__ = [
     "eval_bits",
     "bits_to_string",
 ]
-
-
-class WireType(enum.Enum):
-    CONTROL = "control"
-    DATA = "data"
 
 
 class TypeErrorKind(enum.Enum):
@@ -64,22 +57,6 @@ class CircuitTypeError(Exception):
 
 
 @dataclass(frozen=True)
-class WireTyping:
-    """Successful typing: for each line, the gate ordinal where it turns Data.
-
-    ``h_gate_ordinal[i-1]`` is the 1-based program position of line i's H, or
-    None when the line never receives one (legal only if no rotation targets
-    it; such a line stays Control to the end).
-    """
-
-    h_gate_ordinal: tuple[int | None, ...]
-
-    def wire_type_after(self, line: int, gate_ordinal: int) -> WireType:
-        h = self.h_gate_ordinal[line - 1]
-        return WireType.DATA if h is not None and gate_ordinal >= h else WireType.CONTROL
-
-
-@dataclass(frozen=True)
 class SymbolicBitVector:
     """Width-m fractional bit-vector; ``bits[0]`` is bit 1, the 2**-1 bit."""
 
@@ -89,14 +66,6 @@ class SymbolicBitVector:
     def __post_init__(self):
         if len(self.bits) != self.width:
             raise ValueError(f"expected {self.width} bits, got {len(self.bits)}")
-
-    @classmethod
-    def zero(cls, m: int) -> "SymbolicBitVector":
-        return cls(m, (FALSE,) * m)
-
-    def bit(self, p: int) -> BoolExpr:
-        """Bit p, 1-based from the most significant fractional position."""
-        return self.bits[p - 1]
 
     def __str__(self) -> str:
         return "<." + " ".join(str(b) for b in self.bits) + ">"
@@ -131,16 +100,15 @@ class AbstractOutputs:
         return self.per_qubit[i - 1]
 
 
-def _type_and_group(c: CircuitDescription) -> tuple[list[list[GateInstance]], list[int | None]]:
+def group_gates_by_line(c: CircuitDescription) -> list[list[GateInstance]]:
     """The wire discipline, checked in one program-order walk that groups gates by line.
 
     A line takes at most one H, and no rotation before it.  The first gate
     that breaks this raises CircuitTypeError, located by program ordinal.
-    Returns each line's gates (index 0 holds line 1; a line's list is empty
-    exactly when it never receives an H) and each line's H ordinal.
+    Returns each line's gates in program order: index 0 holds line 1, and a
+    line's list is empty exactly when it never receives an H.
     """
     lines: list[list[GateInstance]] = [[] for _ in range(c.m)]
-    h_at: list[int | None] = [None] * c.m
     for ordinal, gate in enumerate(c.gates, start=1):
         line = gate.target
         gates = lines[line - 1]
@@ -155,7 +123,6 @@ def _type_and_group(c: CircuitDescription) -> tuple[list[list[GateInstance]], li
                     TypeErrorKind.DUPLICATE_H, line, ordinal,
                     f"second H gate on line {line}",
                 )
-            h_at[line - 1] = ordinal
         elif not gates:
             raise CircuitTypeError(
                 TypeErrorKind.RN_DATA_PORT_GOT_CONTROL, line, ordinal,
@@ -163,22 +130,16 @@ def _type_and_group(c: CircuitDescription) -> tuple[list[list[GateInstance]], li
                 f"(control value on a data port)",
             )
         gates.append(gate)
-    return lines, h_at
+    return lines
 
 
-def typecheck(c: CircuitDescription) -> WireTyping:
+def typecheck(c: CircuitDescription) -> None:
     """Check the wire-typing discipline; raise CircuitTypeError on violation.
 
     Success means every line has at most one H and no rotation targets a line
     before its H.
     """
-    return WireTyping(tuple(_type_and_group(c)[1]))
-
-
-def group_gates_by_line(c: CircuitDescription) -> list[list[GateInstance]]:
-    """Typecheck ``c`` and return each line's gates in program order; index 0
-    holds line 1.  Raises CircuitTypeError like typecheck."""
-    return _type_and_group(c)[0]
+    group_gates_by_line(c)
 
 
 def _interpret_line(m: int, gates: Sequence[GateInstance]) -> list[BoolExpr] | None:

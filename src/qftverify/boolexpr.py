@@ -11,15 +11,18 @@ shared between verifications.
 
 Equality of Boolean *functions* is decided through the algebraic normal form
 (XOR of AND-monomials), which is canonical: two expressions denote the same
-function exactly when their normal forms are identical sets of monomials.
-Normalization carries a term budget so that a pathological expression fails
-fast with :class:`AnfBudgetError` instead of consuming the machine; callers
-may then fall back to an external solver.
+function exactly when their normal forms are identical sets of monomials.  A
+monomial is an ``int`` whose bit k stands for b_k, so the constant monomial
+is ``0`` and a product of monomials is their ``|``; a polynomial is a
+``frozenset`` of monomials, so the XOR of two polynomials is their ``^`` and
+the empty set is 0.  :func:`sorted_monomials` is the one decoder back to
+variable indices.  Normalization carries a term budget so that a
+pathological expression fails fast with :class:`AnfBudgetError` instead of
+consuming the machine; callers may then fall back to an external solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -30,8 +33,8 @@ __all__ = [
     "xor",
     "and_",
     "evaluate",
-    "ANFPoly",
     "anf_normalize",
+    "sorted_monomials",
     "AnfBudgetError",
     "DEFAULT_TERM_BUDGET",
 ]
@@ -55,7 +58,9 @@ class BoolExpr:
     :func:`xor` and :func:`and_`.  Equality and hashing are by identity, which
     is structural equality only for the constants and variables; compare the
     functions of compound nodes with :func:`anf_normalize`.  ``anf`` holds the
-    node's monomial set once it has been normalized (None before).
+    node's polynomial, a frozenset of bitmask monomials (see the module
+    docstring), once it has been normalized (None before); the constants are
+    born normalized.
     """
 
     __slots__ = ("op", "left", "right", "index", "anf")
@@ -63,7 +68,7 @@ class BoolExpr:
     op: str  # "0" | "1" | "var" | "xor" | "and"
 
     def __init__(self, op: str, left: "BoolExpr | None", right: "BoolExpr | None",
-                 index: int | None, anf: frozenset | None = None):
+                 index: int | None, anf: frozenset[int] | None = None):
         self.op = op
         self.left = left
         self.right = right
@@ -84,10 +89,8 @@ class BoolExpr:
         return f"({self.left}{sym}{self.right})"
 
 
-# A monomial is a frozenset of variable indices; the empty monomial is the
-# constant 1.  A polynomial is a frozenset of monomials; empty means 0.
 FALSE = BoolExpr("0", None, None, None, frozenset())
-TRUE = BoolExpr("1", None, None, None, frozenset({frozenset()}))
+TRUE = BoolExpr("1", None, None, None, frozenset({0}))
 
 # One node per variable index, so a line bit that is exactly its target
 # variable is recognised by identity.  setdefault is atomic under the GIL.
@@ -169,66 +172,44 @@ def evaluate(expr: BoolExpr, assignment: Mapping[int, int]) -> int:
     return _evaluate_all((expr,), assignment)[0]
 
 
-@dataclass(frozen=True)
-class ANFPoly:
-    """Canonical XOR-of-monomials form of a Boolean function.
-
-    Two Boolean functions are equal iff their ANFPoly values are equal.
-    """
-
-    monomials: frozenset
-
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def is_one(self) -> bool:
-        return self.monomials == TRUE.anf
-
-    def __xor__(self, other: "ANFPoly") -> "ANFPoly":
-        return ANFPoly(self.monomials.symmetric_difference(other.monomials))
-
-    def mul(self, other: "ANFPoly", budget: int) -> "ANFPoly":
-        """GF(2) product, with XOR cancellation of repeated monomials."""
-        if len(self.monomials) * len(other.monomials) > 4 * budget:
-            raise AnfBudgetError(budget)
-        acc: set = set()
-        for p in self.monomials:
-            for q in other.monomials:
-                merged = p | q
-                if merged in acc:
-                    acc.discard(merged)
-                else:
-                    acc.add(merged)
-        if len(acc) > budget:
-            raise AnfBudgetError(budget)
-        return ANFPoly(frozenset(acc))
-
-    def evaluate(self, assignment: Mapping[int, int]) -> int:
-        value = 0
-        for mono in self.monomials:
-            if all(assignment[v] for v in mono):
-                value ^= 1
-        return value
-
-    def sorted_monomials(self) -> list[tuple[int, ...]]:
-        """Monomials as sorted tuples, ordered by (degree, variable indices)."""
-        return sorted((tuple(sorted(m)) for m in self.monomials), key=lambda t: (len(t), t))
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for mono in self.sorted_monomials():
-            parts.append("1" if not mono else "*".join(f"b{v}" for v in mono))
-        return " ^ ".join(parts)
+def _product(lhs: frozenset[int], rhs: frozenset[int], budget: int) -> frozenset[int]:
+    """GF(2) product of two polynomials, with XOR cancellation of repeated monomials."""
+    if len(lhs) * len(rhs) > 4 * budget:
+        raise AnfBudgetError(budget)
+    acc: set[int] = set()
+    for p in lhs:
+        for q in rhs:
+            merged = p | q
+            if merged in acc:
+                acc.discard(merged)
+            else:
+                acc.add(merged)
+    if len(acc) > budget:
+        raise AnfBudgetError(budget)
+    return frozenset(acc)
 
 
-def anf_normalize(expr: BoolExpr, budget: int = DEFAULT_TERM_BUDGET) -> ANFPoly:
-    """The unique Zhegalkin polynomial of ``expr``.
+def sorted_monomials(poly: frozenset[int]) -> list[tuple[int, ...]]:
+    """The monomials of ``poly`` as ascending index tuples, ordered by
+    (degree, indices); the constant monomial is ``()``."""
+    decoded = []
+    for mono in poly:
+        indices = []
+        while mono:
+            low = mono & -mono
+            indices.append(low.bit_length() - 1)
+            mono ^= low
+        decoded.append(tuple(indices))
+    return sorted(decoded, key=lambda t: (len(t), t))
+
+
+def anf_normalize(expr: BoolExpr, budget: int = DEFAULT_TERM_BUDGET) -> frozenset[int]:
+    """The unique Zhegalkin polynomial of ``expr``, which is ``expr.anf``.
 
     Idempotent and canonical: ``anf_normalize(e1) == anf_normalize(e2)`` iff
-    e1 and e2 denote the same Boolean function.  Raises AnfBudgetError when a
-    subresult would exceed ``budget`` monomials.
+    e1 and e2 denote the same Boolean function, and the XOR of two results is
+    the polynomial of the XOR of their expressions.  Raises AnfBudgetError
+    when a subresult would exceed ``budget`` monomials.
     """
     stack = [expr]
     while stack:
@@ -237,7 +218,7 @@ def anf_normalize(expr: BoolExpr, budget: int = DEFAULT_TERM_BUDGET) -> ANFPoly:
             stack.pop()
             continue
         if node.op == "var":
-            node.anf = frozenset({frozenset({node.index})})
+            node.anf = frozenset({1 << node.index})
             stack.pop()
             continue
         left, right = node.left, node.right
@@ -249,11 +230,11 @@ def anf_normalize(expr: BoolExpr, budget: int = DEFAULT_TERM_BUDGET) -> ANFPoly:
                 stack.append(left)
             continue
         if node.op == "xor":
-            result = lhs.symmetric_difference(rhs)
+            result = lhs ^ rhs
         else:
-            result = ANFPoly(lhs).mul(ANFPoly(rhs), budget).monomials
+            result = _product(lhs, rhs, budget)
         if len(result) > budget:
             raise AnfBudgetError(budget)
         node.anf = result
         stack.pop()
-    return ANFPoly(expr.anf)
+    return expr.anf

@@ -17,11 +17,11 @@ from typing import Callable, Iterable, Sequence
 
 from .boolexpr import (
     DEFAULT_TERM_BUDGET,
-    ANFPoly,
     AnfBudgetError,
     BoolExpr,
     FALSE,
     anf_normalize,
+    sorted_monomials,
     var,
 )
 from .abstraction import (
@@ -73,6 +73,10 @@ class CheckerConfig:
     exhaustive: bool = False
     anf_budget: int = DEFAULT_TERM_BUDGET
     solver: "object | None" = None  # smt.SolverConfig; untyped to avoid an import cycle
+
+    def __post_init__(self):
+        if self.backend not in ("anf", "smt", "auto"):
+            raise ValueError(f"unknown backend {self.backend!r}; expected 'anf', 'smt' or 'auto'")
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,12 @@ def target_vector(i: int, m: int) -> SymbolicBitVector:
     return SymbolicBitVector(m, tuple(bits))
 
 
-def find_counterexample(diff: ANFPoly, m: int) -> dict[int, int]:
+def _expected_bits(assignment: dict[int, int], i: int, m: int) -> tuple[int, ...]:
+    """Qubit i's target form under a total assignment: b(i)..b(m), then i-1 zeros."""
+    return (*map(assignment.__getitem__, range(i, m + 1)), *(0,) * (i - 1))
+
+
+def find_counterexample(diff: frozenset[int], m: int) -> dict[int, int]:
     """A total assignment under which a nonzero difference polynomial is 1.
 
     If the constant monomial is present, all-false works: every other
@@ -176,13 +185,10 @@ def find_counterexample(diff: ANFPoly, m: int) -> dict[int, int]:
     evaluates to 1.  Deterministic: smallest monomial in (degree, index)
     order is chosen.
     """
-    if diff.is_zero():
+    if not diff:
         raise ValueError("cannot extract a counterexample from the zero polynomial")
-    assignment = {k: 0 for k in range(1, m + 1)}
-    monos = diff.sorted_monomials()
-    if monos[0] == ():
-        return assignment
-    for v in monos[0]:
+    assignment = dict.fromkeys(range(1, m + 1), 0)
+    for v in sorted_monomials(diff)[0]:
         assignment[v] = 1
     return assignment
 
@@ -193,16 +199,15 @@ def _check_line_bits(bits: Sequence[BoolExpr] | None, i: int, m: int,
     if bits is None:
         assignment = {k: 0 for k in range(1, m + 1)}
         assignment[i] = 1
-        target = target_vector(i, m)
         return QubitVerdict(
             qubit=i,
             status=VIOLATION,
             counterexample=assignment,
-            expected=eval_bits(target, assignment),
+            expected=_expected_bits(assignment, i, m),
             actual=None,
             detail="line never receives an H gate; its output stays an unrotated control wire",
         )
-    first_diff: ANFPoly | None = None
+    first_diff: frozenset[int] | None = None
     first_p = 0
     for p in range(1, m + 1):
         actual_bit = bits[p - 1]
@@ -219,8 +224,7 @@ def _check_line_bits(bits: Sequence[BoolExpr] | None, i: int, m: int,
     if first_diff is None:
         return QubitVerdict(qubit=i, status=VERIFIED)
     assignment = find_counterexample(first_diff, m)
-    target = target_vector(i, m)
-    expected = eval_bits(target, assignment)
+    expected = _expected_bits(assignment, i, m)
     actual = eval_bits(SymbolicBitVector(m, tuple(bits)), assignment)
     if actual == expected:
         raise AssertionError(

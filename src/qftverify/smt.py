@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .abstraction import SymbolicBitVector, _interpret_line, eval_bits, group_gates_by_line
-from .checker import QubitVerdict, UNRESOLVED, VERIFIED, VIOLATION, _check_line_bits, target_vector
+from .checker import QubitVerdict, UNRESOLVED, VERIFIED, VIOLATION, _check_line_bits, _expected_bits
 from .circuit import CircuitDescription, GateInstance
 
 __all__ = [
@@ -262,7 +262,7 @@ def make_qubit_checker(m: int, cfg: SolverConfig) -> Callable[[int, Sequence[Gat
         if result.status == "sat":
             assignment = dict(result.model.values)
             actual = eval_bits(SymbolicBitVector(m, tuple(_interpret_line(m, gates))), assignment)
-            expected = eval_bits(target_vector(i, m), assignment)
+            expected = _expected_bits(assignment, i, m)
             if actual == expected:
                 return QubitVerdict(
                     qubit=i, status=UNRESOLVED,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from qftverify.boolexpr import BoolExpr, FALSE, TRUE, and_, evaluate, var, xor
+from qftverify.boolexpr import BoolExpr, FALSE, TRUE, and_, evaluate, sorted_monomials, var, xor
 from qftverify.circuit import CircuitDescription, GateInstance
 
 
@@ -21,6 +21,16 @@ def truth_table(expr: BoolExpr, num_vars: int) -> tuple[int, ...]:
         assignment = {k + 1: bits[k] for k in range(num_vars)}
         rows.append(evaluate(expr, assignment))
     return tuple(rows)
+
+
+def eval_poly(poly, assignment) -> int:
+    """Value of an ANF polynomial under an assignment: the parity of its
+    monomials whose variables are all set."""
+    value = 0
+    for mono in sorted_monomials(poly):
+        if all(assignment[v] for v in mono):
+            value ^= 1
+    return value
 
 
 def random_expr(rng: random.Random, num_vars: int, depth: int) -> BoolExpr:

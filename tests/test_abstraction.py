@@ -14,7 +14,7 @@ from qftverify.abstraction import (
     run_abstract,
     typecheck,
 )
-from qftverify.boolexpr import FALSE, anf_normalize, var, xor
+from qftverify.boolexpr import FALSE, TRUE, anf_normalize, var, xor
 from qftverify.circuit import (
     CircuitDescription,
     DuplicateH,
@@ -127,10 +127,24 @@ class TestAddMod:
                 assert value_of(out, sigma) == expect % 1
 
 
+def h_ordinals(c: CircuitDescription) -> list[int | None]:
+    """Each line's first H by 1-based program position, or None."""
+    first: list[int | None] = [None] * c.m
+    for ordinal, g in enumerate(c.gates, start=1):
+        if g.kind == "H" and first[g.target - 1] is None:
+            first[g.target - 1] = ordinal
+    return first
+
+
 class TestTypecheck:
     def test_generated_circuits_are_well_typed(self):
-        typing = typecheck(generate_qft(4))
-        assert typing.h_gate_ordinal == (1, 5, 8, 10)
+        c = generate_qft(4)
+        assert typecheck(c) is None
+        assert h_ordinals(c) == [1, 5, 8, 10]
+        # each line's group opens with its own H gate, the one at that ordinal
+        lines = group_gates_by_line(c)
+        assert [line[0] for line in lines] == [c.gates[k - 1] for k in h_ordinals(c)]
+        assert all(line[0].kind == "H" for line in lines)
 
     def test_missing_h_flags_first_rotation(self):
         mutated = inject_error(generate_qft(3), MissingH(2))
@@ -162,35 +176,28 @@ class TestTypecheck:
 
     def test_line_without_any_gates_passes(self):
         # a bare line is not a type error; the property checker reports it
-        typing = typecheck(CircuitDescription(2, (GateInstance("H", 1),)))
-        assert typing.h_gate_ordinal == (1, None)
+        c = CircuitDescription(2, (GateInstance("H", 1),))
+        assert typecheck(c) is None
+        assert group_gates_by_line(c) == [[GateInstance("H", 1)], []]
 
     def test_grouping_walk_types_like_typecheck(self):
         base = generate_qft(4)
         for spec in enumerate_error_specs(base):
             c = inject_error(base, spec)
             try:
-                typing = typecheck(c)
+                typecheck(c)
             except CircuitTypeError as exc:
                 with pytest.raises(CircuitTypeError) as info:
                     group_gates_by_line(c)
                 assert (info.value.kind, info.value.line, info.value.gate_ordinal) \
                     == (exc.kind, exc.line, exc.gate_ordinal)
                 continue
-            for line, (gates, h) in enumerate(zip(group_gates_by_line(c), typing.h_gate_ordinal), 1):
+            for line, (gates, h) in enumerate(zip(group_gates_by_line(c), h_ordinals(c)), 1):
                 assert [g.target for g in gates] == [line] * len(gates)
                 # a typed line is empty exactly when it has no H, which comes first
                 assert (h is None) == (not gates)
+                assert not gates or gates[0] is c.gates[h - 1]
                 assert all(g.kind == ("H" if k == 0 else "R") for k, g in enumerate(gates))
-
-    def test_wire_type_query(self):
-        from qftverify.abstraction import WireType
-
-        typing = typecheck(generate_qft(3))
-        assert typing.wire_type_after(1, 1) == WireType.DATA
-        assert typing.wire_type_after(2, 1) == WireType.CONTROL
-        assert typing.wire_type_after(2, 4) == WireType.DATA
-        assert typing.wire_type_after(3, 5) == WireType.CONTROL
 
 
 class TestRunAbstract:
@@ -260,7 +267,8 @@ class TestEvalBits:
         assert eval_bits(v, {1: 1, 2: 0, 3: 1}) == (1, 0, 1)
 
     def test_constant_vector(self):
-        assert eval_bits(SymbolicBitVector.zero(3), {1: 1, 2: 1, 3: 1}) == (0, 0, 0)
+        assert eval_bits(vec(FALSE, FALSE, FALSE), {1: 1, 2: 1, 3: 1}) == (0, 0, 0)
+        assert eval_bits(vec(TRUE, FALSE), {1: 0, 2: 0}) == (1, 0)
 
     def test_qubit_two_of_three(self):
         outs = run_abstract(generate_qft(3))

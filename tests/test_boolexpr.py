@@ -4,21 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qftverify.boolexpr import (
-    ANFPoly,
     AnfBudgetError,
     FALSE,
     TRUE,
     and_,
     anf_normalize,
     evaluate,
+    sorted_monomials,
     var,
     xor,
 )
-from helpers import all_basis_inputs, random_expr, truth_table
-
-
-def mono(*indices):
-    return frozenset(indices)
+from qftverify.checker import find_counterexample
+from helpers import all_basis_inputs, eval_poly, random_expr, truth_table
 
 
 class TestInterning:
@@ -62,25 +59,32 @@ class TestEvaluate:
 
 class TestAnf:
     def test_xor_self_cancels(self):
-        assert anf_normalize(xor(var(1), var(1))).is_zero()
+        assert not anf_normalize(xor(var(1), var(1)))
+        # two distinct nodes for the same function, which xor cannot merge locally
+        assert not anf_normalize(xor(xor(var(1), var(2)), xor(var(2), var(1))))
 
     def test_absorption_to_zero(self):
         # b1 & (1 ^ b1) expands to b1 ^ b1*b1 = b1 ^ b1 = 0
-        assert anf_normalize(and_(var(1), xor(TRUE, var(1)))).is_zero()
+        assert not anf_normalize(and_(var(1), xor(TRUE, var(1))))
 
     def test_idempotent_product(self):
         # (b & x) & (b & x) at the same position keeps the single monomial
         prod = and_(var(1), var(2))
-        assert anf_normalize(and_(prod, prod)) == ANFPoly(frozenset({mono(1, 2)}))
+        assert sorted_monomials(anf_normalize(and_(prod, and_(var(2), var(1))))) == [(1, 2)]
 
     def test_constants(self):
-        assert anf_normalize(FALSE).is_zero()
-        assert anf_normalize(TRUE).is_one()
-        assert anf_normalize(var(4)) == ANFPoly(frozenset({mono(4)}))
+        assert not anf_normalize(FALSE)
+        assert sorted_monomials(anf_normalize(TRUE)) == [()]
+        assert sorted_monomials(anf_normalize(var(4))) == [(4,)]
 
     def test_idempotent(self):
         e = xor(and_(var(1), var(2)), var(3))
         assert anf_normalize(e) == anf_normalize(e)
+
+    def test_result_is_the_node_slot(self):
+        e = xor(and_(var(1), var(2)), var(3))
+        assert anf_normalize(e) is e.anf
+        assert anf_normalize(TRUE) is TRUE.anf
 
     def test_canonicity_random(self):
         # Equal normal forms exactly when brute-force truth tables agree.
@@ -101,7 +105,7 @@ class TestAnf:
             poly = anf_normalize(e)
             for bits in [(0,) * nv, (1,) * nv]:
                 assignment = {k + 1: bits[k] for k in range(nv)}
-                assert poly.evaluate(assignment) == evaluate(e, assignment)
+                assert eval_poly(poly, assignment) == evaluate(e, assignment)
 
     def test_budget_overflow(self):
         # Product of (1 ^ b_i) terms has 2**k monomials.
@@ -111,9 +115,16 @@ class TestAnf:
         with pytest.raises(AnfBudgetError):
             anf_normalize(e, budget=100)
 
-    def test_str_is_sorted(self):
+    def test_monomials_are_sorted(self):
         poly = anf_normalize(xor(and_(var(2), var(1)), xor(var(3), TRUE)))
-        assert str(poly) == "1 ^ b3 ^ b1*b2"
+        assert sorted_monomials(poly) == [(), (3,), (1, 2)]
+
+    def test_wide_indices(self):
+        poly = anf_normalize(and_(var(1), var(10_000)))
+        assert sorted_monomials(poly) == [(1, 10_000)]
+        assignment = find_counterexample(poly, 10_000)
+        assert len(assignment) == 10_000
+        assert [k for k, v in assignment.items() if v] == [1, 10_000]
 
 
 class TestConcurrency:
@@ -156,19 +167,50 @@ class TestAnfProperty:
         nv, nodes, order = dag
         polys = {k: anf_normalize(nodes[k]) for k in order}
         for k, node in enumerate(nodes):
-            rows = tuple(polys[k].evaluate({v + 1: bits[v] for v in range(nv)})
+            rows = tuple(eval_poly(polys[k], {v + 1: bits[v] for v in range(nv)})
                          for bits in all_basis_inputs(nv))
             assert rows == truth_table(node, nv), str(node)
 
 
+@st.composite
+def small_exprs(draw):
+    """A random expression over b1..bk for k <= 6, and k."""
+    nv = draw(st.integers(1, 6))
+    leaves = st.sampled_from([FALSE, TRUE] + [var(k) for k in range(1, nv + 1)])
+    expr = draw(st.recursive(
+        leaves,
+        lambda sub: st.tuples(st.sampled_from([xor, and_]), sub, sub).map(lambda t: t[0](t[1], t[2])),
+        max_leaves=24,
+    ))
+    return nv, expr
+
+
+def mobius_anf(expr, nv: int) -> list[tuple[int, ...]]:
+    """ANF from the truth table by the binary Moebius transform, as sorted index tuples."""
+    table = [evaluate(expr, {k: (x >> (k - 1)) & 1 for k in range(1, nv + 1)})
+             for x in range(1 << nv)]
+    for k in range(nv):
+        for x in range(1 << nv):
+            if x >> k & 1:
+                table[x] ^= table[x ^ (1 << k)]
+    monos = [tuple(k + 1 for k in range(nv) if x >> k & 1) for x in range(1 << nv) if table[x]]
+    return sorted(monos, key=lambda t: (len(t), t))
+
+
 class TestAnfPolyOps:
     def test_xor_and_mul(self):
-        p = ANFPoly(frozenset({mono(1), mono(2)}))
-        q = ANFPoly(frozenset({mono(2), mono(3)}))
-        assert (p ^ q) == ANFPoly(frozenset({mono(1), mono(3)}))
+        p = xor(var(1), var(2))
+        q = xor(var(2), var(3))
+        assert anf_normalize(p) ^ anf_normalize(q) == anf_normalize(xor(var(1), var(3)))
         # (b1 ^ b2)(b2 ^ b3) = b1b2 ^ b1b3 ^ b2 ^ b2b3
-        assert p.mul(q, budget=100) == ANFPoly(frozenset({mono(1, 2), mono(1, 3), mono(2), mono(2, 3)}))
+        assert sorted_monomials(anf_normalize(and_(p, q))) == [(2,), (1, 2), (1, 3), (2, 3)]
 
     def test_sorted_monomials_order(self):
-        p = ANFPoly(frozenset({mono(2, 3), mono(), mono(5), mono(1, 9)}))
-        assert p.sorted_monomials() == [(), (5,), (1, 9), (2, 3)]
+        e = xor(xor(and_(var(2), var(3)), TRUE), xor(var(5), and_(var(9), var(1))))
+        assert sorted_monomials(anf_normalize(e)) == [(), (5,), (1, 9), (2, 3)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_exprs())
+    def test_matches_mobius_transform_of_truth_table(self, case):
+        nv, expr = case
+        assert sorted_monomials(anf_normalize(expr)) == mobius_anf(expr, nv), str(expr)

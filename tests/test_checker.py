@@ -5,7 +5,7 @@ import pytest
 
 from qftverify.abstraction import SymbolicBitVector, eval_bits, group_gates_by_line, run_abstract
 from qftverify.bench import _qft_lines, scenario_error_spec
-from qftverify.boolexpr import ANFPoly, BoolExpr, FALSE, var
+from qftverify.boolexpr import TRUE, BoolExpr, FALSE, and_, anf_normalize, var, xor
 from qftverify.checker import (
     CheckerConfig,
     SolverUnavailableError,
@@ -30,11 +30,7 @@ from qftverify.circuit import (
     inject_error,
     qft_gate_count,
 )
-from helpers import bits_as_int, concrete_line_values, split_rotation
-
-
-def mono(*indices):
-    return frozenset(indices)
+from helpers import bits_as_int, concrete_line_values, eval_poly, split_rotation
 
 
 class TestTargetVector:
@@ -54,24 +50,24 @@ class TestTargetVector:
 
 class TestFindCounterexample:
     def test_single_monomial(self):
-        diff = ANFPoly(frozenset({mono(2)}))
+        diff = anf_normalize(var(2))
         assert find_counterexample(diff, 3) == {1: 0, 2: 1, 3: 0}
 
     def test_constant_term_means_all_false(self):
-        diff = ANFPoly(frozenset({mono(), mono(1)}))
+        diff = anf_normalize(xor(TRUE, var(1)))
         assignment = find_counterexample(diff, 2)
         assert assignment == {1: 0, 2: 0}
-        assert diff.evaluate(assignment) == 1
+        assert eval_poly(diff, assignment) == 1
 
     def test_inclusion_minimal_choice(self):
-        diff = ANFPoly(frozenset({mono(1, 2), mono(1)}))
+        diff = anf_normalize(xor(and_(var(1), var(2)), var(1)))
         assignment = find_counterexample(diff, 2)
         assert assignment == {1: 1, 2: 0}
-        assert diff.evaluate(assignment) == 1
+        assert eval_poly(diff, assignment) == 1
 
     def test_zero_polynomial_is_a_contract_violation(self):
         with pytest.raises(ValueError):
-            find_counterexample(ANFPoly(frozenset()), 2)
+            find_counterexample(anf_normalize(FALSE), 2)
 
     def test_always_evaluates_to_one(self):
         import random
@@ -79,13 +75,16 @@ class TestFindCounterexample:
         rng = random.Random(5)
         for _ in range(200):
             nv = rng.randint(1, 6)
-            monos = set()
+            diff = FALSE
             for _ in range(rng.randint(1, 8)):
-                monos.add(frozenset(rng.sample(range(1, nv + 1), rng.randint(0, nv))))
-            diff = ANFPoly(frozenset(monos))
-            if diff.is_zero():
+                monomial = TRUE
+                for k in rng.sample(range(1, nv + 1), rng.randint(0, nv)):
+                    monomial = and_(monomial, var(k))
+                diff = xor(diff, monomial)
+            poly = anf_normalize(diff)
+            if not poly:
                 continue
-            assert diff.evaluate(find_counterexample(diff, nv)) == 1
+            assert eval_poly(poly, find_counterexample(poly, nv)) == 1
 
 
 class TestCheckQubit:
@@ -186,6 +185,11 @@ class TestVerifyCircuit:
         report = verify_circuit(c, CheckerConfig(anf_budget=50))
         assert report.overall == UNRESOLVED
         assert report.records[0].verdict.status == UNRESOLVED
+
+    @pytest.mark.parametrize("backend", ["SMT", "z3", ""])
+    def test_unknown_backend_is_rejected(self, backend):
+        with pytest.raises(ValueError, match="backend"):
+            CheckerConfig(backend=backend)
 
     def test_smt_backend_without_solver_raises(self):
         with pytest.raises(SolverUnavailableError):
