@@ -12,7 +12,6 @@ the abstraction at small sizes.
 
 from .boolexpr import (
     AnfBudgetError,
-    BoolExpr,
     DEFAULT_TERM_BUDGET,
     FALSE,
     TRUE,
@@ -21,7 +20,6 @@ from .boolexpr import (
     evaluate,
     sorted_monomials,
     var,
-    xor,
 )
 from .circuit import (
     CircuitDescription,

@@ -4,8 +4,8 @@ On basis inputs every gate in these circuits acts as a rotation by a negative
 power of two of a full turn, so a qubit's state abstracts to a width-m
 *fractional bit-vector*: bit p (1-based, bit 1 most significant) has weight
 2**-p, and the vector <.x1..xm> denotes the fraction of a full rotation
-accumulated on the line.  Bits are symbolic Boolean expressions over the
-circuit's input variables b1..bm.
+accumulated on the line.  Bits are Boolean functions of the circuit's input
+variables b1..bm, each held as its algebraic normal form (see boolexpr).
 
 Wire typing: a line starts as Control (its initial Boolean value) and becomes
 Data (a fractional bit-vector) at its unique H gate.  An H gate consumes a
@@ -20,9 +20,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .boolexpr import FALSE, BoolExpr, _evaluate_all, and_, var, xor
+from .boolexpr import DEFAULT_TERM_BUDGET, FALSE, AnfBudgetError, and_, evaluate, sorted_monomials, var
 from .circuit import CircuitDescription, GateInstance
 
 __all__ = [
@@ -61,19 +61,25 @@ class SymbolicBitVector:
     """Width-m fractional bit-vector; ``bits[0]`` is bit 1, the 2**-1 bit."""
 
     width: int
-    bits: tuple[BoolExpr, ...]
+    bits: tuple[frozenset[int], ...]
 
     def __post_init__(self):
         if len(self.bits) != self.width:
             raise ValueError(f"expected {self.width} bits, got {len(self.bits)}")
 
-    def __str__(self) -> str:
-        return "<." + " ".join(str(b) for b in self.bits) + ">"
-
 
 def eval_bits(v: SymbolicBitVector, assignment: Mapping[int, int]) -> tuple[int, ...]:
-    """Concrete bits of ``v`` under an input assignment, in one walk of its DAG."""
-    return tuple(_evaluate_all(v.bits, assignment))
+    """Concrete bits of ``v`` under an input assignment.
+
+    Raises ValueError if a bit mentions a variable the assignment leaves unset.
+    """
+    unset = ~sum(1 << k for k in assignment)
+    for bit in v.bits:
+        for mono in bit:
+            if mono & unset:
+                raise ValueError(f"unassigned variable b{sorted_monomials({mono & unset})[0][0]}")
+    true_vars = sum(1 << k for k, value in assignment.items() if value)
+    return tuple(evaluate(bit, true_vars) for bit in v.bits)
 
 
 def bits_to_string(bits: Sequence[int]) -> str:
@@ -142,30 +148,40 @@ def typecheck(c: CircuitDescription) -> None:
     group_gates_by_line(c)
 
 
-def _interpret_line(m: int, gates: Sequence[GateInstance]) -> list[BoolExpr] | None:
+def _interpret_line(m: int, gates: Sequence[GateInstance], budget: int = DEFAULT_TERM_BUDGET,
+                    leaf: Callable[[int], frozenset[int]] = var) -> list[frozenset[int]] | None:
     """Run one well-typed line's gates under the abstract semantics.
 
     Returns the final bit list, or None if the line never receives an H (its
-    gate list is then empty).  The one-hot adds are done in place with early
-    carry cut-off, so a gate costs O(live carry chain), not O(m).
+    gate list is then empty).  ``leaf(k)`` is the value of input b_k: its
+    variable by default, or a constant to run the line on one input.  The
+    one-hot adds are done in place with early carry cut-off, so a gate costs
+    O(live carry chain), not O(m).  Raises AnfBudgetError when a sum or a
+    carry exceeds ``budget`` monomials.
     """
     if not gates:
         return None
     bits = [FALSE] * m
-    bits[0] = var(gates[0].target)
+    bits[0] = leaf(gates[0].target)
     for gate in itertools.islice(gates, 1, None):
         n = gate.n
         if n > m:
             raise ValueError(f"rotation order {n} not representable in {m} bits")
-        qc = var(gate.control)
+        carry = leaf(gate.control)
         p = n - 1
-        carry = and_(bits[p], qc)
-        bits[p] = xor(bits[p], qc)
-        p -= 1
-        while p >= 0 and carry is not FALSE:
-            carry, bits[p] = and_(bits[p], carry), xor(bits[p], carry)
+        while carry:
+            bit = bits[p]
+            if not bit:
+                bits[p] = carry  # keeps var(k) itself, so a correct bit is found by identity
+                break
+            total = bit ^ carry
+            if len(total) > budget:
+                raise AnfBudgetError(budget)
+            bits[p] = total
+            if p == 0:
+                break  # the carry out of bit 1 is the modulo-one wrap: dropped
+            carry = and_(bit, carry, budget)
             p -= 1
-        # carry out of bit 1 is the modulo-one wrap: dropped
     return bits
 
 

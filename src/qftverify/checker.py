@@ -10,27 +10,20 @@ assignment by construction.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .boolexpr import (
-    DEFAULT_TERM_BUDGET,
-    AnfBudgetError,
-    BoolExpr,
-    FALSE,
-    anf_normalize,
-    sorted_monomials,
-    var,
-)
+from . import smt
+from .boolexpr import DEFAULT_TERM_BUDGET, FALSE, TRUE, AnfBudgetError, evaluate, sorted_monomials, var
 from .abstraction import (
     AbstractOutputs,
     CircuitTypeError,
     SymbolicBitVector,
     _interpret_line,
     bits_to_string,
-    eval_bits,
     group_gates_by_line,
 )
 from .circuit import CircuitDescription, GateInstance
@@ -72,7 +65,7 @@ class CheckerConfig:
     backend: str = "anf"
     exhaustive: bool = False
     anf_budget: int = DEFAULT_TERM_BUDGET
-    solver: "object | None" = None  # smt.SolverConfig; untyped to avoid an import cycle
+    solver: smt.SolverConfig | None = None
 
     def __post_init__(self):
         if self.backend not in ("anf", "smt", "auto"):
@@ -175,6 +168,21 @@ def _expected_bits(assignment: dict[int, int], i: int, m: int) -> tuple[int, ...
     return (*map(assignment.__getitem__, range(i, m + 1)), *(0,) * (i - 1))
 
 
+@functools.lru_cache(maxsize=1)
+def _all_false(m: int) -> dict[int, int]:
+    # never mutated: callers copy it, which is several times cheaper than
+    # building an m-entry dict key by key on every refuted qubit
+    return dict.fromkeys(range(1, m + 1), 0)
+
+
+def _assignment(true_vars: Iterable[int], m: int) -> dict[int, int]:
+    """The total assignment of b1..bm that sets exactly ``true_vars``."""
+    assignment = _all_false(m).copy()
+    for v in true_vars:
+        assignment[v] = 1
+    return assignment
+
+
 def find_counterexample(diff: frozenset[int], m: int) -> dict[int, int]:
     """A total assignment under which a nonzero difference polynomial is 1.
 
@@ -187,84 +195,92 @@ def find_counterexample(diff: frozenset[int], m: int) -> dict[int, int]:
     """
     if not diff:
         raise ValueError("cannot extract a counterexample from the zero polynomial")
-    assignment = dict.fromkeys(range(1, m + 1), 0)
-    for v in sorted_monomials(diff)[0]:
-        assignment[v] = 1
-    return assignment
+    return _assignment(sorted_monomials(diff)[0], m)
 
 
-def _check_line_bits(bits: Sequence[BoolExpr] | None, i: int, m: int,
-                     budget: int) -> QubitVerdict:
+def _witness(i: int, m: int, assignment: dict[int, int], actual: tuple[int, ...] | None,
+             detail: str) -> QubitVerdict | None:
+    """The violation that ``assignment`` exhibits on qubit i, whose line gives
+    ``actual`` there (None for a control wire), or None if it exhibits none."""
+    expected = _expected_bits(assignment, i, m)
+    if actual == expected:
+        return None
+    return QubitVerdict(qubit=i, status=VIOLATION, counterexample=assignment,
+                        expected=expected, actual=actual, detail=detail)
+
+
+def _check_line_bits(bits: Sequence[frozenset[int]] | None, i: int, m: int) -> QubitVerdict:
     """Decide one qubit from its final bit list (None = line stayed Control)."""
     if bits is None:
-        assignment = {k: 0 for k in range(1, m + 1)}
-        assignment[i] = 1
-        return QubitVerdict(
-            qubit=i,
-            status=VIOLATION,
-            counterexample=assignment,
-            expected=_expected_bits(assignment, i, m),
-            actual=None,
-            detail="line never receives an H gate; its output stays an unrotated control wire",
-        )
-    first_diff: frozenset[int] | None = None
-    first_p = 0
-    for p in range(1, m + 1):
-        actual_bit = bits[p - 1]
+        return _witness(i, m, _assignment((i,), m), None,
+                        "line never receives an H gate; its output stays an unrotated control wire")
+    for p, actual_bit in enumerate(bits, start=1):
         want_index = i + p - 1
         target_bit = var(want_index) if want_index <= m else FALSE
-        if actual_bit is target_bit:
-            continue  # constants and variables are single objects
-        actual_anf = anf_normalize(actual_bit, budget)
-        target_anf = anf_normalize(target_bit, budget)
-        if actual_anf != target_anf:
-            first_diff = actual_anf ^ target_anf
-            first_p = p
+        # var(k) and FALSE are single objects, so correct bits match by identity
+        if actual_bit is not target_bit and actual_bit != target_bit:
             break
-    if first_diff is None:
+    else:
         return QubitVerdict(qubit=i, status=VERIFIED)
-    assignment = find_counterexample(first_diff, m)
-    expected = _expected_bits(assignment, i, m)
-    actual = eval_bits(SymbolicBitVector(m, tuple(bits)), assignment)
-    if actual == expected:
+    true_vars = sorted_monomials(actual_bit ^ target_bit)[0]
+    mask = sum(1 << v for v in true_vars)
+    actual = tuple([evaluate(b, mask) if b else 0 for b in bits])
+    verdict = _witness(i, m, _assignment(true_vars, m), actual, f"first difference at bit {p}")
+    if verdict is None:
         raise AssertionError(
-            f"qubit {i}: counterexample failed to separate actual from expected at bit {first_p}"
+            f"qubit {i}: counterexample failed to separate actual from expected at bit {p}"
         )
-    return QubitVerdict(
-        qubit=i,
-        status=VIOLATION,
-        counterexample=assignment,
-        expected=expected,
-        actual=actual,
-        detail=f"first difference at bit {first_p}",
-    )
+    return verdict
 
 
-def check_qubit(outputs: AbstractOutputs, i: int,
-                budget: int = DEFAULT_TERM_BUDGET) -> QubitVerdict:
-    """Decide one qubit of precomputed abstract outputs.
+def _solver_verdict(solver: smt.SolverConfig, i: int, m: int,
+                    gates: Sequence[GateInstance]) -> QubitVerdict:
+    """Decide one qubit with the external solver.
 
-    Raises AnfBudgetError when normalization overflows; verify_circuit turns
-    that into a solver fallback or an unresolved verdict.
+    A sat model is re-validated by running the line on the model's input
+    values before a violation is reported, so a nonconforming solver cannot
+    fabricate a counterexample.
     """
+    if not gates:
+        return _check_line_bits(None, i, m)
+    result = smt.solve_line(solver, gates, i, m)
+    if result.status == "unsat":
+        return QubitVerdict(qubit=i, status=VERIFIED)
+    if result.status != "sat":
+        return QubitVerdict(qubit=i, status=UNRESOLVED,
+                            detail=f"solver {result.status}: {result.reason}")
+    assignment = dict(result.model.values)
+    values = _interpret_line(m, gates, leaf=lambda k: TRUE if assignment[k] else FALSE)
+    detail = ""
+    if result.model.defaulted:
+        names = ", ".join(f"b{k}" for k in result.model.defaulted)
+        detail = f"model omitted {names}; defaulted to false"
+    verdict = _witness(i, m, assignment, tuple(1 if b else 0 for b in values), detail)
+    if verdict is None:
+        return QubitVerdict(qubit=i, status=UNRESOLVED,
+                            detail="solver model failed local re-validation; treating as unresolved")
+    return verdict
+
+
+def check_qubit(outputs: AbstractOutputs, i: int) -> QubitVerdict:
+    """Decide one qubit of precomputed abstract outputs."""
     vec = outputs.qubit(i)
-    return _check_line_bits(None if vec is None else vec.bits, i, outputs.width, budget)
+    return _check_line_bits(None if vec is None else vec.bits, i, outputs.width)
 
 
-def _verify_one_qubit(gates: Sequence[GateInstance], i: int, m: int, cfg: CheckerConfig,
-                      smt_check: "Callable | None") -> QubitRecord:
+def _verify_one_qubit(gates: Sequence[GateInstance], i: int, m: int,
+                      cfg: CheckerConfig) -> QubitRecord:
     start = time.perf_counter()
     backend = "anf"
     if cfg.backend == "smt":
-        verdict = smt_check(i, gates)
+        verdict = _solver_verdict(cfg.solver, i, m, gates)
         backend = "smt"
     else:
         try:
-            bits = _interpret_line(m, gates)
-            verdict = _check_line_bits(bits, i, m, cfg.anf_budget)
+            verdict = _check_line_bits(_interpret_line(m, gates, cfg.anf_budget), i, m)
         except AnfBudgetError as exc:
-            if cfg.backend == "auto" and smt_check is not None:
-                verdict = smt_check(i, gates)
+            if cfg.backend == "auto" and cfg.solver is not None:
+                verdict = _solver_verdict(cfg.solver, i, m, gates)
                 backend = "smt"
             else:
                 verdict = QubitVerdict(
@@ -276,7 +292,7 @@ def _verify_one_qubit(gates: Sequence[GateInstance], i: int, m: int, cfg: Checke
 
 
 def verify_lines(m: int, gate_count: int, lines: Iterable[Sequence[GateInstance]],
-                 cfg: CheckerConfig, smt_check: "Callable | None" = None) -> VerificationReport:
+                 cfg: CheckerConfig) -> VerificationReport:
     """Decide every qubit of a circuit given as well-typed per-line gate lists.
 
     ``lines`` yields line 1, 2, .. in order and is consumed lazily, one line
@@ -284,14 +300,14 @@ def verify_lines(m: int, gate_count: int, lines: Iterable[Sequence[GateInstance]
     work (interpreting that line's gates and checking its output) is timed
     separately so reported times reflect the independent per-qubit
     obligations rather than the whole-circuit sweep.  In short-circuit mode
-    no line is pulled after the first non-verified qubit.  ``smt_check(i,
-    gates)`` decides one qubit with a solver (see smt.make_qubit_checker).
+    no line is pulled after the first non-verified qubit.  The solver, when
+    the backend asks for one, is ``cfg.solver``.
     """
-    if cfg.backend == "smt" and smt_check is None:
+    if cfg.backend == "smt" and cfg.solver is None:
         raise SolverUnavailableError("smt backend requested but no solver is configured")
     report = VerificationReport(qubits=m, gate_count=gate_count, overall=VERIFIED)
     for i, gates in enumerate(lines, start=1):
-        rec = _verify_one_qubit(gates, i, m, cfg, smt_check)
+        rec = _verify_one_qubit(gates, i, m, cfg)
         report.records.append(rec)
         if rec.verdict.status != VERIFIED and not cfg.exhaustive:
             break
@@ -319,9 +335,4 @@ def verify_circuit(c: CircuitDescription, cfg: CheckerConfig | None = None) -> V
             type_error_kind=exc.kind.value, type_error_line=exc.line,
             type_error_gate=exc.gate_ordinal, type_error_message=str(exc),
         )
-    smt_check = None
-    if cfg.backend in ("smt", "auto") and cfg.solver is not None:
-        from . import smt
-
-        smt_check = smt.make_qubit_checker(c.m, cfg.solver)
-    return verify_lines(c.m, c.gate_count, lines, cfg, smt_check)
+    return verify_lines(c.m, c.gate_count, lines, cfg)

@@ -22,7 +22,7 @@ from .circuit import (
     parse_error_spec,
     serialize_circuit,
 )
-from .abstraction import CircuitTypeError
+from .abstraction import CircuitTypeError, bits_to_string
 
 EXIT_VERIFIED = 0
 EXIT_VIOLATION = 1
@@ -86,9 +86,8 @@ def _cmd_verify(args) -> int:
             line = f"qubit {v.qubit}: {v.status} ({rec.backend}, {rec.millis:.3f} ms)"
             if v.counterexample is not None:
                 witness = "".join(str(v.counterexample[k]) for k in sorted(v.counterexample))
-                expected = "0." + "".join(str(b) for b in v.expected)
-                actual = ("(control wire)" if v.actual is None
-                          else "0." + "".join(str(b) for b in v.actual))
+                expected = bits_to_string(v.expected)
+                actual = "(control wire)" if v.actual is None else bits_to_string(v.actual)
                 line += f" inputs b1..b{report.qubits}={witness} expected {expected} actual {actual}"
             if v.detail:
                 line += f" [{v.detail}]"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import re
-import resource
 import shlex
 import shutil
 import subprocess
@@ -24,10 +23,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .abstraction import SymbolicBitVector, _interpret_line, eval_bits, group_gates_by_line
-from .checker import QubitVerdict, UNRESOLVED, VERIFIED, VIOLATION, _check_line_bits, _expected_bits
+from .abstraction import group_gates_by_line
 from .circuit import CircuitDescription, GateInstance
 
 __all__ = [
@@ -41,7 +39,7 @@ __all__ = [
     "invoke_solver",
     "parse_model",
     "write_obligations",
-    "make_qubit_checker",
+    "solve_line",
 ]
 
 SOLVER_ENV_VAR = "QFTV_SOLVER"
@@ -73,16 +71,13 @@ class ModelAssignment:
 class SolverResult:
     """Classified outcome of one solver run.
 
-    status is "unsat", "sat", "unknown", or "failure".  peak_mb is the
-    operating system's high-water memory mark over child processes, which is
-    approximate (it is cumulative across earlier children).
+    status is "unsat", "sat", "unknown", or "failure".
     """
 
     status: str
     model: ModelAssignment | None = None
     reason: str = ""
     wall_s: float = 0.0
-    peak_mb: float | None = None
 
 
 def solver_from_env(default_command: str | None = None) -> SolverConfig | None:
@@ -212,71 +207,32 @@ def invoke_solver(cfg: SolverConfig, obligation_path: Path | str) -> SolverResul
         return SolverResult("failure", reason=f"cannot launch solver: {exc}",
                             wall_s=time.perf_counter() - start)
     except subprocess.TimeoutExpired:
-        return SolverResult("unknown", reason="timeout",
-                            wall_s=time.perf_counter() - start, peak_mb=_children_peak_mb())
+        return SolverResult("unknown", reason="timeout", wall_s=time.perf_counter() - start)
     wall = time.perf_counter() - start
-    peak = _children_peak_mb()
     match = _STATUS_LINE.search(proc.stdout)
     if match is None:
         head = (proc.stderr or proc.stdout).strip().splitlines()
         return SolverResult(
             "failure",
             reason=f"exit {proc.returncode}: {head[0] if head else 'no output'}",
-            wall_s=wall, peak_mb=peak,
+            wall_s=wall,
         )
     status = match.group(1)
     if status == "unsat":
-        return SolverResult("unsat", wall_s=wall, peak_mb=peak)
+        return SolverResult("unsat", wall_s=wall)
     if status == "unknown":
-        return SolverResult("unknown", reason="solver returned unknown", wall_s=wall, peak_mb=peak)
+        return SolverResult("unknown", reason="solver returned unknown", wall_s=wall)
     try:
         model = parse_model(proc.stdout, _declared_width(path.read_text(encoding="utf-8")))
     except ModelParseError as exc:
-        return SolverResult("failure", reason=str(exc), wall_s=wall, peak_mb=peak)
-    return SolverResult("sat", model=model, wall_s=wall, peak_mb=peak)
+        return SolverResult("failure", reason=str(exc), wall_s=wall)
+    return SolverResult("sat", model=model, wall_s=wall)
 
 
-def _children_peak_mb() -> float:
-    # Linux reports ru_maxrss in kilobytes; high-water over all reaped children.
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-
-
-def make_qubit_checker(m: int, cfg: SolverConfig) -> Callable[[int, Sequence[GateInstance]], QubitVerdict]:
-    """Per-qubit solver-backed decision procedure for checker.verify_lines.
-
-    The returned ``check(i, gates)`` takes qubit i's well-typed line.  Sat
-    models are re-validated locally against the abstract semantics before a
-    violation is reported, so a nonconforming solver cannot fabricate a
-    counterexample.
-    """
-
-    def check(i: int, gates: Sequence[GateInstance]) -> QubitVerdict:
-        if not gates:
-            return _check_line_bits(None, i, m, budget=0)
-        with tempfile.TemporaryDirectory(prefix="qftv-smt-") as tmp:
-            path = Path(tmp) / f"q{i}.smt2"
-            path.write_text(_emit_obligation(gates, i, m), encoding="utf-8")
-            result = invoke_solver(cfg, path)
-        if result.status == "unsat":
-            return QubitVerdict(qubit=i, status=VERIFIED)
-        if result.status == "sat":
-            assignment = dict(result.model.values)
-            actual = eval_bits(SymbolicBitVector(m, tuple(_interpret_line(m, gates))), assignment)
-            expected = _expected_bits(assignment, i, m)
-            if actual == expected:
-                return QubitVerdict(
-                    qubit=i, status=UNRESOLVED,
-                    detail="solver model failed local re-validation; treating as unresolved",
-                )
-            detail = ""
-            if result.model.defaulted:
-                names = ", ".join(f"b{k}" for k in result.model.defaulted)
-                detail = f"model omitted {names}; defaulted to false"
-            return QubitVerdict(
-                qubit=i, status=VIOLATION, counterexample=assignment,
-                expected=expected, actual=actual, detail=detail,
-            )
-        return QubitVerdict(qubit=i, status=UNRESOLVED,
-                            detail=f"solver {result.status}: {result.reason}")
-
-    return check
+def solve_line(cfg: SolverConfig, gates: Sequence[GateInstance], i: int, m: int) -> SolverResult:
+    """Run the solver on qubit i's obligation for its well-typed line
+    (which must have an H), in a temporary directory."""
+    with tempfile.TemporaryDirectory(prefix="qftv-smt-") as tmp:
+        path = Path(tmp) / f"q{i}.smt2"
+        path.write_text(_emit_obligation(gates, i, m), encoding="utf-8")
+        return invoke_solver(cfg, path)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from qftverify.boolexpr import BoolExpr, FALSE, TRUE, and_, evaluate, sorted_monomials, var, xor
+from qftverify.boolexpr import FALSE, TRUE, and_, sorted_monomials, var
 from qftverify.circuit import CircuitDescription, GateInstance
 
 
@@ -14,12 +14,38 @@ def all_basis_inputs(m: int):
     return itertools.product((0, 1), repeat=m)
 
 
-def truth_table(expr: BoolExpr, num_vars: int) -> tuple[int, ...]:
-    """Brute-force table over b1..b<num_vars>, in lexicographic input order."""
+# A Boolean formula as a plain tuple tree: 0, 1, ("var", k), ("xor", a, b)
+# or ("and", a, b).  Its value is computed with int & and ^, independently of
+# the polynomials under test.
+
+
+def tree_value(tree, assignment) -> int:
+    """Value of a formula tree under an assignment of its variables."""
+    if tree in (0, 1):
+        return tree
+    if tree[0] == "var":
+        return assignment[tree[1]]
+    left, right = tree_value(tree[1], assignment), tree_value(tree[2], assignment)
+    return left ^ right if tree[0] == "xor" else left & right
+
+
+def tree_poly(tree) -> frozenset[int]:
+    """The polynomial of a formula tree, built with the library's operations."""
+    if tree in (0, 1):
+        return TRUE if tree else FALSE
+    if tree[0] == "var":
+        return var(tree[1])
+    left, right = tree_poly(tree[1]), tree_poly(tree[2])
+    return left ^ right if tree[0] == "xor" else and_(left, right)
+
+
+def truth_table(tree, num_vars: int) -> tuple[int, ...]:
+    """Brute-force table of a formula tree over b1..b<num_vars>, in
+    lexicographic input order."""
     rows = []
     for bits in all_basis_inputs(num_vars):
         assignment = {k + 1: bits[k] for k in range(num_vars)}
-        rows.append(evaluate(expr, assignment))
+        rows.append(tree_value(tree, assignment))
     return tuple(rows)
 
 
@@ -33,17 +59,17 @@ def eval_poly(poly, assignment) -> int:
     return value
 
 
-def random_expr(rng: random.Random, num_vars: int, depth: int) -> BoolExpr:
+def random_tree(rng: random.Random, num_vars: int, depth: int):
     if depth == 0 or rng.random() < 0.3:
         roll = rng.random()
         if roll < 0.1:
-            return FALSE
+            return 0
         if roll < 0.2:
-            return TRUE
-        return var(rng.randint(1, num_vars))
-    a = random_expr(rng, num_vars, depth - 1)
-    b = random_expr(rng, num_vars, depth - 1)
-    return xor(a, b) if rng.random() < 0.5 else and_(a, b)
+            return 1
+        return ("var", rng.randint(1, num_vars))
+    a = random_tree(rng, num_vars, depth - 1)
+    b = random_tree(rng, num_vars, depth - 1)
+    return ("xor" if rng.random() < 0.5 else "and", a, b)
 
 
 def concrete_line_values(c: CircuitDescription, bits: tuple[int, ...]) -> list[int | None]:

@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qftverify.abstraction import _interpret_line
 from qftverify.boolexpr import (
     AnfBudgetError,
     FALSE,
@@ -12,25 +14,19 @@ from qftverify.boolexpr import (
     evaluate,
     sorted_monomials,
     var,
-    xor,
 )
 from qftverify.checker import find_counterexample
-from helpers import all_basis_inputs, eval_poly, random_expr, truth_table
+from qftverify.circuit import GateInstance
+from helpers import all_basis_inputs, eval_poly, random_tree, tree_poly, tree_value, truth_table
+
+
+def mask(*true_vars: int) -> int:
+    return sum(1 << k for k in true_vars)
 
 
 class TestInterning:
     def test_structural_sharing(self):
         assert var(7) is var(7)
-
-    def test_local_simplification(self):
-        b1 = var(1)
-        assert xor(b1, FALSE) is b1
-        assert xor(b1, b1) is FALSE
-        assert and_(b1, FALSE) is FALSE
-        assert and_(b1, TRUE) is b1
-        assert and_(b1, b1) is b1
-        assert xor(FALSE, FALSE) is FALSE
-        assert xor(TRUE, TRUE) is FALSE
 
     def test_var_index_validation(self):
         with pytest.raises(ValueError):
@@ -39,88 +35,94 @@ class TestInterning:
 
 class TestEvaluate:
     def test_basic(self):
-        e = xor(var(1), and_(var(2), var(3)))
-        assert evaluate(e, {1: 1, 2: 1, 3: 0}) == 1
-        assert evaluate(e, {1: 1, 2: 1, 3: 1}) == 0
+        e = var(1) ^ and_(var(2), var(3))
+        assert evaluate(e, mask(1, 2)) == 1
+        assert evaluate(e, mask(1, 2, 3)) == 0
 
     def test_unassigned_variable(self):
-        with pytest.raises(ValueError, match="b2"):
-            evaluate(xor(var(1), var(2)), {1: 0})
+        # a variable outside the mask is false
+        assert evaluate(var(1) ^ var(2), mask(1)) == 1
+        assert evaluate(and_(var(1), var(2)), mask(1)) == 0
 
     def test_deep_chain_is_iterative(self):
         e = var(1)
         for k in range(2, 5002):
             e = and_(e, var(k))
-        assignment = {k: 1 for k in range(1, 5002)}
-        assert evaluate(e, assignment) == 1
-        assignment[3000] = 0
-        assert evaluate(e, assignment) == 0
+        assert sorted_monomials(e) == [tuple(range(1, 5002))]
+        assert evaluate(e, mask(*range(1, 5002))) == 1
+        assert evaluate(e, mask(*range(1, 5002)) ^ mask(3000)) == 0
 
 
 class TestAnf:
     def test_xor_self_cancels(self):
-        assert not anf_normalize(xor(var(1), var(1)))
-        # two distinct nodes for the same function, which xor cannot merge locally
-        assert not anf_normalize(xor(xor(var(1), var(2)), xor(var(2), var(1))))
+        assert not var(1) ^ var(1)
+        # two separately built polynomials of one function cancel too
+        assert not (var(1) ^ var(2)) ^ (var(2) ^ var(1))
 
     def test_absorption_to_zero(self):
         # b1 & (1 ^ b1) expands to b1 ^ b1*b1 = b1 ^ b1 = 0
-        assert not anf_normalize(and_(var(1), xor(TRUE, var(1))))
+        assert not and_(var(1), TRUE ^ var(1))
 
     def test_idempotent_product(self):
         # (b & x) & (b & x) at the same position keeps the single monomial
         prod = and_(var(1), var(2))
-        assert sorted_monomials(anf_normalize(and_(prod, and_(var(2), var(1))))) == [(1, 2)]
+        assert sorted_monomials(and_(prod, and_(var(2), var(1)))) == [(1, 2)]
 
     def test_constants(self):
-        assert not anf_normalize(FALSE)
-        assert sorted_monomials(anf_normalize(TRUE)) == [()]
-        assert sorted_monomials(anf_normalize(var(4))) == [(4,)]
+        assert not FALSE
+        assert sorted_monomials(TRUE) == [()]
+        assert sorted_monomials(var(4)) == [(4,)]
+        assert and_(var(4), TRUE) == var(4) and not and_(var(4), FALSE)
 
     def test_idempotent(self):
-        e = xor(and_(var(1), var(2)), var(3))
-        assert anf_normalize(e) == anf_normalize(e)
-
-    def test_result_is_the_node_slot(self):
-        e = xor(and_(var(1), var(2)), var(3))
-        assert anf_normalize(e) is e.anf
-        assert anf_normalize(TRUE) is TRUE.anf
+        e = and_(var(1), var(2)) ^ var(3)
+        assert anf_normalize(e) is e
 
     def test_canonicity_random(self):
-        # Equal normal forms exactly when brute-force truth tables agree.
+        # Equal polynomials exactly when brute-force truth tables agree.
         rng = random.Random(1318)
         for _ in range(300):
             nv = rng.randint(1, 10)
-            e1 = random_expr(rng, nv, 5)
-            e2 = random_expr(rng, nv, 5)
-            same_table = truth_table(e1, nv) == truth_table(e2, nv)
-            same_anf = anf_normalize(e1) == anf_normalize(e2)
-            assert same_table == same_anf, f"{e1} vs {e2}"
+            t1 = random_tree(rng, nv, 5)
+            t2 = random_tree(rng, nv, 5)
+            same_table = truth_table(t1, nv) == truth_table(t2, nv)
+            same_anf = tree_poly(t1) == tree_poly(t2)
+            assert same_table == same_anf, f"{t1} vs {t2}"
 
     def test_anf_evaluate_matches_expr(self):
         rng = random.Random(4)
         for _ in range(100):
             nv = rng.randint(1, 8)
-            e = random_expr(rng, nv, 5)
-            poly = anf_normalize(e)
-            for bits in [(0,) * nv, (1,) * nv]:
+            tree = random_tree(rng, nv, 5)
+            poly = tree_poly(tree)
+            for bits in [(0,) * nv, (1,) * nv, tuple(rng.randint(0, 1) for _ in range(nv))]:
                 assignment = {k + 1: bits[k] for k in range(nv)}
-                assert eval_poly(poly, assignment) == evaluate(e, assignment)
+                want = tree_value(tree, assignment)
+                assert eval_poly(poly, assignment) == want
+                assert evaluate(poly, mask(*(k for k, v in assignment.items() if v))) == want
 
     def test_budget_overflow(self):
         # Product of (1 ^ b_i) terms has 2**k monomials.
-        e = TRUE
-        for k in range(1, 13):
-            e = and_(e, xor(TRUE, var(k)))
+        poly = TRUE
         with pytest.raises(AnfBudgetError):
-            anf_normalize(e, budget=100)
+            for k in range(1, 13):
+                poly = and_(poly, TRUE ^ var(k), budget=100)
+        assert len(poly) <= 100
+
+    def test_line_budget_overflow(self):
+        # same-position rotations with distinct controls: the carry into bit
+        # 2 is the product of all of them, which a tiny budget cannot hold
+        gates = [GateInstance("H", 1)] + [GateInstance("R", 1, n=8, control=k) for k in range(2, 9)]
+        with pytest.raises(AnfBudgetError):
+            _interpret_line(8, gates, budget=4)
+        assert max(map(len, _interpret_line(8, gates))) > 4
 
     def test_monomials_are_sorted(self):
-        poly = anf_normalize(xor(and_(var(2), var(1)), xor(var(3), TRUE)))
+        poly = and_(var(2), var(1)) ^ var(3) ^ TRUE
         assert sorted_monomials(poly) == [(), (3,), (1, 2)]
 
     def test_wide_indices(self):
-        poly = anf_normalize(and_(var(1), var(10_000)))
+        poly = and_(var(1), var(10_000))
         assert sorted_monomials(poly) == [(1, 10_000)]
         assignment = find_counterexample(poly, 10_000)
         assert len(assignment) == 10_000
@@ -129,65 +131,90 @@ class TestAnf:
 
 class TestConcurrency:
     def test_parallel_normalization_is_deterministic(self):
-        # threads normalizing expressions that share subterms (and so write
-        # the same nodes' memos) agree with a sequential pass over fresh
-        # copies built from the same seed
+        # threads meet new variable indices in different orders, racing on
+        # the var cache: each must get the one polynomial per index, and
+        # lines over those indices interpret as in a sequential pass
         from concurrent.futures import ThreadPoolExecutor
 
-        def build():
-            rng = random.Random(77)
-            base = [random_expr(rng, 8, 6) for _ in range(16)]
-            return [(xor if rng.random() < 0.5 else and_)(rng.choice(base), rng.choice(base))
-                    for _ in range(64)]
+        fresh = list(range(50_000, 54_000))
+        rng = random.Random(77)
+        lines = []
+        for _ in range(64):
+            gates = [GateInstance("H", 1)]
+            gates += [GateInstance("R", 1, n=rng.randint(1, 8), control=rng.choice(fresh))
+                      for _ in range(rng.randint(1, 8))]
+            lines.append(gates)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = list(pool.map(anf_normalize, build()))
-        sequential = [anf_normalize(e) for e in build()]
-        assert parallel == sequential
+        def work(seed):
+            order = fresh[:]
+            random.Random(seed).shuffle(order)
+            polys = {k: var(k) for k in order}
+            return polys, [_interpret_line(8, gates) for gates in lines]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(work, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        sequential = [_interpret_line(8, gates) for gates in lines]
+        for polys, bits in results:
+            assert all(polys[k] is var(k) for k in fresh)
+            assert bits == sequential
 
 
 @st.composite
 def shared_dags(draw):
-    """A random DAG over b1..bk whose nodes reuse earlier nodes as operands,
-    with a random order in which to normalize them."""
+    """A random DAG over b1..bk as steps (op, left, right), each combining
+    two earlier nodes by index: 0 and 1 are the constants, 2.. the variables."""
     nv = draw(st.integers(1, 6))
-    nodes = [FALSE, TRUE] + [var(k) for k in range(1, nv + 1)]
-    for _ in range(draw(st.integers(1, 25))):
-        left = nodes[draw(st.integers(0, len(nodes) - 1))]
-        right = nodes[draw(st.integers(0, len(nodes) - 1))]
-        nodes.append((xor if draw(st.booleans()) else and_)(left, right))
-    order = draw(st.permutations(range(len(nodes))))
-    return nv, nodes, order
+    steps = []
+    for size in range(2 + nv, 2 + nv + draw(st.integers(1, 25))):
+        steps.append((draw(st.sampled_from(["xor", "and"])),
+                      draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))))
+    return nv, steps
 
 
 class TestAnfProperty:
     @settings(max_examples=150, deadline=None)
     @given(shared_dags())
     def test_anf_matches_truth_table_at_every_node(self, dag):
-        nv, nodes, order = dag
-        polys = {k: anf_normalize(nodes[k]) for k in order}
-        for k, node in enumerate(nodes):
-            rows = tuple(eval_poly(polys[k], {v + 1: bits[v] for v in range(nv)})
+        # each node's polynomial is built from its operands' polynomials, as
+        # the interpreter builds a bit; its table from theirs with int ^ and &
+        nv, steps = dag
+        leaves = [0, 1] + [("var", k) for k in range(1, nv + 1)]
+        polys = [tree_poly(leaf) for leaf in leaves]
+        tables = [truth_table(leaf, nv) for leaf in leaves]
+        for op, a, b in steps:
+            if op == "xor":
+                polys.append(polys[a] ^ polys[b])
+                tables.append(tuple(x ^ y for x, y in zip(tables[a], tables[b])))
+            else:
+                polys.append(and_(polys[a], polys[b]))
+                tables.append(tuple(x & y for x, y in zip(tables[a], tables[b])))
+        for poly, table in zip(polys, tables):
+            rows = tuple(eval_poly(poly, {v + 1: bits[v] for v in range(nv)})
                          for bits in all_basis_inputs(nv))
-            assert rows == truth_table(node, nv), str(node)
+            assert rows == table, sorted_monomials(poly)
 
 
 @st.composite
-def small_exprs(draw):
-    """A random expression over b1..bk for k <= 6, and k."""
+def small_trees(draw):
+    """A random formula tree over b1..bk for k <= 6, and k."""
     nv = draw(st.integers(1, 6))
-    leaves = st.sampled_from([FALSE, TRUE] + [var(k) for k in range(1, nv + 1)])
-    expr = draw(st.recursive(
+    leaves = st.sampled_from([0, 1] + [("var", k) for k in range(1, nv + 1)])
+    tree = draw(st.recursive(
         leaves,
-        lambda sub: st.tuples(st.sampled_from([xor, and_]), sub, sub).map(lambda t: t[0](t[1], t[2])),
+        lambda sub: st.tuples(st.sampled_from(["xor", "and"]), sub, sub),
         max_leaves=24,
     ))
-    return nv, expr
+    return nv, tree
 
 
-def mobius_anf(expr, nv: int) -> list[tuple[int, ...]]:
+def mobius_anf(tree, nv: int) -> list[tuple[int, ...]]:
     """ANF from the truth table by the binary Moebius transform, as sorted index tuples."""
-    table = [evaluate(expr, {k: (x >> (k - 1)) & 1 for k in range(1, nv + 1)})
+    table = [tree_value(tree, {k: (x >> (k - 1)) & 1 for k in range(1, nv + 1)})
              for x in range(1 << nv)]
     for k in range(nv):
         for x in range(1 << nv):
@@ -199,18 +226,18 @@ def mobius_anf(expr, nv: int) -> list[tuple[int, ...]]:
 
 class TestAnfPolyOps:
     def test_xor_and_mul(self):
-        p = xor(var(1), var(2))
-        q = xor(var(2), var(3))
-        assert anf_normalize(p) ^ anf_normalize(q) == anf_normalize(xor(var(1), var(3)))
+        p = var(1) ^ var(2)
+        q = var(2) ^ var(3)
+        assert p ^ q == var(1) ^ var(3)
         # (b1 ^ b2)(b2 ^ b3) = b1b2 ^ b1b3 ^ b2 ^ b2b3
-        assert sorted_monomials(anf_normalize(and_(p, q))) == [(2,), (1, 2), (1, 3), (2, 3)]
+        assert sorted_monomials(and_(p, q)) == [(2,), (1, 2), (1, 3), (2, 3)]
 
     def test_sorted_monomials_order(self):
-        e = xor(xor(and_(var(2), var(3)), TRUE), xor(var(5), and_(var(9), var(1))))
-        assert sorted_monomials(anf_normalize(e)) == [(), (5,), (1, 9), (2, 3)]
+        poly = and_(var(2), var(3)) ^ TRUE ^ var(5) ^ and_(var(9), var(1))
+        assert sorted_monomials(poly) == [(), (5,), (1, 9), (2, 3)]
 
     @settings(max_examples=200, deadline=None)
-    @given(small_exprs())
+    @given(small_trees())
     def test_matches_mobius_transform_of_truth_table(self, case):
-        nv, expr = case
-        assert sorted_monomials(anf_normalize(expr)) == mobius_anf(expr, nv), str(expr)
+        nv, tree = case
+        assert sorted_monomials(tree_poly(tree)) == mobius_anf(tree, nv), str(tree)

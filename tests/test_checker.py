@@ -5,7 +5,7 @@ import pytest
 
 from qftverify.abstraction import SymbolicBitVector, eval_bits, group_gates_by_line, run_abstract
 from qftverify.bench import _qft_lines, scenario_error_spec
-from qftverify.boolexpr import TRUE, BoolExpr, FALSE, and_, anf_normalize, var, xor
+from qftverify.boolexpr import _VARS, TRUE, FALSE, and_, var
 from qftverify.checker import (
     CheckerConfig,
     SolverUnavailableError,
@@ -50,24 +50,24 @@ class TestTargetVector:
 
 class TestFindCounterexample:
     def test_single_monomial(self):
-        diff = anf_normalize(var(2))
+        diff = var(2)
         assert find_counterexample(diff, 3) == {1: 0, 2: 1, 3: 0}
 
     def test_constant_term_means_all_false(self):
-        diff = anf_normalize(xor(TRUE, var(1)))
+        diff = TRUE ^ var(1)
         assignment = find_counterexample(diff, 2)
         assert assignment == {1: 0, 2: 0}
         assert eval_poly(diff, assignment) == 1
 
     def test_inclusion_minimal_choice(self):
-        diff = anf_normalize(xor(and_(var(1), var(2)), var(1)))
+        diff = and_(var(1), var(2)) ^ var(1)
         assignment = find_counterexample(diff, 2)
         assert assignment == {1: 1, 2: 0}
         assert eval_poly(diff, assignment) == 1
 
     def test_zero_polynomial_is_a_contract_violation(self):
         with pytest.raises(ValueError):
-            find_counterexample(anf_normalize(FALSE), 2)
+            find_counterexample(FALSE, 2)
 
     def test_always_evaluates_to_one(self):
         import random
@@ -80,11 +80,10 @@ class TestFindCounterexample:
                 monomial = TRUE
                 for k in rng.sample(range(1, nv + 1), rng.randint(0, nv)):
                     monomial = and_(monomial, var(k))
-                diff = xor(diff, monomial)
-            poly = anf_normalize(diff)
-            if not poly:
+                diff = diff ^ monomial
+            if not diff:
                 continue
-            assert eval_poly(poly, find_counterexample(poly, nv)) == 1
+            assert eval_poly(diff, find_counterexample(diff, nv)) == 1
 
 
 class TestCheckQubit:
@@ -238,21 +237,21 @@ class TestVerifyLines:
         assert actual != expected
 
 
-def _live_exprs() -> int:
+def _live_polys() -> int:
     gc.collect()
-    return sum(1 for obj in gc.get_objects() if isinstance(obj, BoolExpr))
+    return sum(1 for obj in gc.get_objects() if type(obj) is frozenset)
 
 
 class TestExpressionLifetime:
     def test_live_nodes_do_not_grow_across_verifications(self):
-        # a verification's expressions die with it; only the per-index
-        # variables outlive a call, so four distinct deep-carry bugs on the
-        # same line leave the count flat
+        # a verification's polynomials die with it; only the var cache, one
+        # polynomial per index, outlives a call, so four distinct deep-carry
+        # bugs on the same line leave both counts flat
         m = 64
         counts = []
         for k in range(1, 5):
             spec = IncorrectGateOrder(target=1, ordinal=m - 1, wrong_n=m - k)
             report = verify_circuit(inject_error(generate_qft(m), spec))
             assert report.overall == VIOLATION
-            counts.append(_live_exprs())
+            counts.append((_live_polys(), len(_VARS)))
         assert counts == [counts[0]] * len(counts)

@@ -1,4 +1,6 @@
+import json
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +15,8 @@ from qftverify.checker import (
     verify_circuit,
 )
 from qftverify.circuit import (
+    CircuitDescription,
+    GateInstance,
     IncorrectControl,
     IncorrectGateOrder,
     MissingH,
@@ -28,6 +32,8 @@ from qftverify.smt import (
     parse_model,
     write_obligations,
 )
+
+from helpers import bits_as_int, concrete_line_values
 
 MINISOLVER = Path(__file__).parent / "minisolver.py"
 
@@ -204,8 +210,6 @@ class TestMinisolverEndToEnd:
     def test_auto_backend_falls_back_on_budget_overflow(self):
         # many same-position rotations overflow a tiny normalization budget;
         # with a solver configured the qubit is still decided
-        from qftverify.circuit import CircuitDescription, GateInstance
-
         m = 14
         gates = [GateInstance("H", 1)]
         gates += [GateInstance("R", 1, n=m, control=k) for k in range(2, m + 1)]
@@ -220,6 +224,23 @@ class TestMinisolverEndToEnd:
         # the structural backend agrees once given a workable budget
         assert verify_circuit(c).overall == VIOLATION
 
+    def test_auto_revalidates_a_line_past_the_budget(self):
+        # the model is checked by running the line on its input values, not
+        # by rebuilding the polynomials that overflowed the budget
+        m = 6
+        gates = [GateInstance("H", 1)]
+        gates += [GateInstance("R", 1, n=m, control=k) for k in range(2, m + 1)]
+        gates += [GateInstance("H", k) for k in range(2, m + 1)]
+        c = CircuitDescription(m, tuple(gates))
+        cfg = CheckerConfig(backend="auto", anf_budget=2, solver=minisolver_config())
+        record = verify_circuit(c, cfg).records[0]
+        assert record.backend == "smt"
+        verdict = record.verdict
+        assert verdict.status == VIOLATION
+        sigma = tuple(verdict.counterexample[k] for k in range(1, m + 1))
+        assert bits_as_int(verdict.actual) == concrete_line_values(c, sigma)[0]
+        assert verdict.actual != verdict.expected
+
     def test_solver_timeout_gives_unresolved_verdict(self, tmp_path):
         slow = tmp_path / "slow-solver"
         slow.write_text("#!/bin/sh\nsleep 5\necho unsat\n")
@@ -228,3 +249,22 @@ class TestMinisolverEndToEnd:
         report = verify_circuit(generate_qft(2), cfg)
         assert report.overall == UNRESOLVED
         assert "timeout" in report.records[0].verdict.detail
+
+
+def test_smt_does_not_import_checker():
+    # the checker drives the solver layer, never the other way round; load
+    # the module without the package's __init__, which imports everything
+    import qftverify
+
+    code = (
+        "import importlib, json, sys, types\n"
+        "pkg = types.ModuleType('qftverify')\n"
+        f"pkg.__path__ = {list(qftverify.__path__)!r}\n"
+        "sys.modules['qftverify'] = pkg\n"
+        "importlib.import_module('qftverify.smt')\n"
+        "print(json.dumps(sorted(n for n in sys.modules if n.startswith('qftverify.'))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout)
+    assert "qftverify.smt" in loaded
+    assert "qftverify.checker" not in loaded
