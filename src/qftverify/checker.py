@@ -154,13 +154,17 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+@functools.lru_cache(maxsize=1)
+def _target_row(m: int) -> tuple[frozenset[int], ...]:
+    # b1..bm then m zeros: qubit i's target form is the m bits from index i-1
+    return (*map(var, range(1, m + 1)), *(FALSE,) * m)
+
+
 def target_vector(i: int, m: int) -> SymbolicBitVector:
     """The required output form for qubit i: bits b(i), b(i+1), .., b(m), 0, .., 0."""
     if not 1 <= i <= m:
         raise IndexError(f"qubit {i} out of range 1..{m}")
-    bits = [var(i + p) for p in range(m - i + 1)]
-    bits.extend([FALSE] * (i - 1))
-    return SymbolicBitVector(m, tuple(bits))
+    return SymbolicBitVector(m, _target_row(m)[i - 1:i - 1 + m])
 
 
 def _expected_bits(assignment: dict[int, int], i: int, m: int) -> tuple[int, ...]:
@@ -214,9 +218,8 @@ def _check_line_bits(bits: Sequence[frozenset[int]] | None, i: int, m: int) -> Q
     if bits is None:
         return _witness(i, m, _assignment((i,), m), None,
                         "line never receives an H gate; its output stays an unrotated control wire")
-    for p, actual_bit in enumerate(bits, start=1):
-        want_index = i + p - 1
-        target_bit = var(want_index) if want_index <= m else FALSE
+    targets = _target_row(m)[i - 1:i - 1 + m]
+    for p, (actual_bit, target_bit) in enumerate(zip(bits, targets), start=1):
         # var(k) and FALSE are single objects, so correct bits match by identity
         if actual_bit is not target_bit and actual_bit != target_bit:
             break

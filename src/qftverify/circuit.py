@@ -11,7 +11,7 @@ indices are 1-based throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Union
 
 __all__ = [
@@ -229,65 +229,47 @@ def _line_r_index(c: CircuitDescription, line: int, ordinal: int) -> int:
     )
 
 
-def _check_line(c: CircuitDescription, value: int, what: str) -> None:
-    if not 1 <= value <= c.m:
-        raise ErrorInjectionError(f"{what} {value} out of range 1..{c.m}")
-
-
 def inject_error(c: CircuitDescription, spec: ErrorSpec) -> CircuitDescription:
     """Apply one mutation, returning a new circuit; the input is unmodified.
 
     Mutations that would not change the circuit (wrong value equals the
-    correct one) or that would produce a structurally invalid gate are
-    rejected with ErrorInjectionError.
+    correct one) or whose gate or circuit the constructors reject are raised
+    as ErrorInjectionError.
     """
-    gates = list(c.gates)
-    if isinstance(spec, IncorrectGateOrder):
-        _check_line(c, spec.target, "target")
-        k = _line_r_index(c, spec.target, spec.ordinal)
-        old = gates[k]
-        if not 1 <= spec.wrong_n <= c.m:
-            raise ErrorInjectionError(f"rotation order {spec.wrong_n} out of range 1..{c.m}")
-        if spec.wrong_n == old.n:
-            raise ErrorInjectionError(f"gate already has order {old.n}; mutation is a no-op")
-        gates[k] = GateInstance("R", old.target, n=spec.wrong_n, control=old.control)
-    elif isinstance(spec, IncorrectControl):
-        _check_line(c, spec.target, "target")
-        _check_line(c, spec.wrong_control, "control")
-        k = _line_r_index(c, spec.target, spec.ordinal)
-        old = gates[k]
-        if spec.wrong_control == old.control:
-            raise ErrorInjectionError(f"gate already controlled by {old.control}; mutation is a no-op")
-        if spec.wrong_control == old.target:
-            raise ErrorInjectionError("control would equal target")
-        gates[k] = GateInstance("R", old.target, n=old.n, control=spec.wrong_control)
-    elif isinstance(spec, MissingH):
-        _check_line(c, spec.target, "target")
-        del gates[_line_h_index(c, spec.target)]
-    elif isinstance(spec, DuplicateH):
-        _check_line(c, spec.target, "target")
-        k = _line_h_index(c, spec.target)
-        gates.insert(k + 1, GateInstance("H", spec.target))
-    elif isinstance(spec, WrongHInput):
-        _check_line(c, spec.target, "target")
-        _check_line(c, spec.wrong_source, "source")
-        if spec.wrong_source == spec.target:
-            raise ErrorInjectionError("source equals the correct line; mutation is a no-op")
-        k = _line_h_index(c, spec.target)
-        gates[k] = GateInstance("H", spec.wrong_source)
-    elif isinstance(spec, WrongRnDataInput):
-        _check_line(c, spec.target, "target")
-        _check_line(c, spec.wrong_source, "source")
-        if spec.wrong_source == spec.target:
-            raise ErrorInjectionError("source equals the correct line; mutation is a no-op")
-        k = _line_r_index(c, spec.target, spec.ordinal)
-        old = gates[k]
-        if spec.wrong_source == old.control:
-            raise ErrorInjectionError("retargeted gate would have control equal to target")
-        gates[k] = GateInstance("R", spec.wrong_source, n=old.n, control=old.control)
-    else:
+    if not isinstance(spec, ErrorSpec):
         raise ErrorInjectionError(f"unknown error spec {spec!r}")
-    return CircuitDescription(c.m, tuple(gates))
+    if not 1 <= spec.target <= c.m:
+        raise ErrorInjectionError(f"target {spec.target} out of range 1..{c.m}")
+    gates = list(c.gates)
+    try:
+        if isinstance(spec, (MissingH, DuplicateH, WrongHInput)):
+            k = _line_h_index(c, spec.target)
+        else:
+            k = _line_r_index(c, spec.target, spec.ordinal)
+        old = gates[k]
+        if isinstance(spec, IncorrectGateOrder):
+            if not 1 <= spec.wrong_n <= c.m:
+                raise ErrorInjectionError(f"rotation order {spec.wrong_n} out of range 1..{c.m}")
+            if spec.wrong_n == old.n:
+                raise ErrorInjectionError(f"gate already has order {old.n}; mutation is a no-op")
+            gates[k] = replace(old, n=spec.wrong_n)
+        elif isinstance(spec, IncorrectControl):
+            if spec.wrong_control == old.control:
+                raise ErrorInjectionError(f"gate already controlled by {old.control}; mutation is a no-op")
+            gates[k] = replace(old, control=spec.wrong_control)
+        elif isinstance(spec, MissingH):
+            del gates[k]
+        elif isinstance(spec, DuplicateH):
+            gates.insert(k + 1, old)
+        elif spec.wrong_source == spec.target:
+            raise ErrorInjectionError("source equals the correct line; mutation is a no-op")
+        else:
+            gates[k] = replace(old, target=spec.wrong_source)
+        return CircuitDescription(c.m, tuple(gates))
+    except ErrorInjectionError:
+        raise
+    except CircuitError as exc:
+        raise ErrorInjectionError(str(exc)) from None
 
 
 def enumerate_error_specs(c: CircuitDescription) -> Iterator[ErrorSpec]:
@@ -386,18 +368,27 @@ def format_error_spec(spec: ErrorSpec) -> str:
 # diffs stay readable; parse_circuit accepts any JSON layout.
 
 
+# Gate kind -> its integer fields, named as in GateInstance, in the order
+# they are checked and written.
+_GATE_FIELDS = {"H": ("target",), "R": ("n", "target", "control")}
+
+
 def parse_circuit(text: str) -> CircuitDescription:
-    """Parse a circuit file; round-trips with serialize_circuit."""
+    """Parse a circuit file; round-trips with serialize_circuit.  Only what JSON
+    can get wrong is checked here; the value rules are the constructors'."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer past Python's digit limit, or nesting past the recursion limit
+        raise CircuitParseError(str(exc)) from None
     if not isinstance(doc, dict):
         raise CircuitParseError("top level must be a JSON object")
     if "qubits" not in doc:
         raise CircuitParseError('missing "qubits" field')
     m = doc["qubits"]
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if type(m) is not int:
         raise CircuitParseError(f"m must be >= 1, got {m!r}")
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
@@ -407,20 +398,17 @@ def parse_circuit(text: str) -> CircuitDescription:
         if not isinstance(entry, dict):
             raise CircuitParseError(f"gate {ordinal}: not an object")
         kind = entry.get("kind")
-        allowed = {"H": {"kind", "target"}, "R": {"kind", "n", "target", "control"}}.get(kind)
-        if allowed is None:
+        fields = _GATE_FIELDS.get(kind) if isinstance(kind, str) else None
+        if fields is None:
             raise CircuitParseError(f"gate {ordinal}: kind must be \"H\" or \"R\", got {kind!r}")
-        extra = set(entry) - allowed
+        extra = entry.keys() - fields - {"kind"}
         if extra:
             raise CircuitParseError(f"gate {ordinal}: unexpected fields {sorted(extra)}")
-        for field in allowed - {"kind"}:
-            if not isinstance(entry.get(field), int) or isinstance(entry.get(field), bool):
+        for field in fields:
+            if type(entry.get(field)) is not int:
                 raise CircuitParseError(f"gate {ordinal}: field {field!r} must be an integer")
         try:
-            if kind == "H":
-                gates.append(GateInstance("H", entry["target"]))
-            else:
-                gates.append(GateInstance("R", entry["target"], n=entry["n"], control=entry["control"]))
+            gates.append(GateInstance(**entry))
         except CircuitError as exc:
             raise CircuitParseError(f"gate {ordinal}: {exc}") from None
     try:

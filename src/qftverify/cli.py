@@ -149,7 +149,6 @@ def _cmd_bench(args) -> int:
             scenarios=scenarios,
             repeats=args.repeats,
             allow_huge=args.huge,
-            size_cap=10 ** 9 if args.huge else bench_mod.DEFAULT_SIZE_CAP,
             measure_memory=not args.no_memory,
         )
         result = bench_mod.run_bench(cfg)

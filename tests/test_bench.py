@@ -113,6 +113,15 @@ class TestPositionSweep:
             "incorrect-gate@q1", "incorrect-gate@q5", "incorrect-gate@q15"]
         assert all(rec.verdict == "violation" for rec in result.records)
 
+    def test_repeats_run_round_robin(self, monkeypatch):
+        # no position is timed straight after its own previous run
+        labels = []
+        measure = bench._measure
+        monkeypatch.setattr(bench, "_measure",
+                            lambda m, spec, label: labels.append(label) or measure(m, spec, label))
+        run_position_sweep(8, [1, 4], repeats=2, measure_memory=False)
+        assert labels == ["incorrect-gate@q1", "incorrect-gate@q4"] * 2
+
     def test_position_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
             run_position_sweep(16, [16], repeats=1)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qftverify
 from qftverify.circuit import (
     CircuitDescription,
     CircuitError,
@@ -159,6 +165,21 @@ class TestInjector:
         with pytest.raises(ErrorInjectionError, match="out of range"):
             inject_error(c, IncorrectGateOrder(target=1, ordinal=1, wrong_n=4))
 
+    @pytest.mark.parametrize("spec", [
+        IncorrectControl(target=1, ordinal=1, wrong_control=0),
+        IncorrectControl(target=1, ordinal=1, wrong_control=4),
+        IncorrectControl(target=1, ordinal=1, wrong_control=1),
+        WrongHInput(target=1, wrong_source=0),
+        WrongHInput(target=1, wrong_source=4),
+        WrongRnDataInput(target=1, ordinal=1, wrong_source=0),
+        WrongRnDataInput(target=1, ordinal=1, wrong_source=4),
+    ])
+    def test_gates_the_constructors_reject(self, spec):
+        # the gate and circuit rules live in the constructors; the injector
+        # reports their refusal as its own
+        with pytest.raises(ErrorInjectionError):
+            inject_error(generate_qft(3), spec)
+
     def test_retarget_onto_control_rejected(self):
         # moving the rotation to its own control line would be control == target
         c = generate_qft(3)
@@ -258,3 +279,32 @@ class TestFiles:
     def test_non_integer_field_rejected(self):
         with pytest.raises(CircuitParseError, match="must be an integer"):
             parse_circuit('{"qubits": 1, "gates": [{"kind": "H", "target": "1"}]}')
+
+    @pytest.mark.parametrize("text,match", [
+        ('{"qubits": 1, "gates": [{"kind": ["H"], "target": 1}]}', 'gate 1: kind must be "H" or "R"'),
+        ('{"qubits": 1, "gates": [{"kind": {}, "target": 1}]}', 'gate 1: kind must be "H" or "R"'),
+        ("[" * 200_000 + "]" * 200_000, "recursion"),
+        ('{"qubits": %s, "gates": []}' % ("9" * 5000), "digits"),
+    ], ids=["list-kind", "object-kind", "deep-nesting", "oversized-integer"])
+    def test_hostile_text_is_parse_error(self, text, match):
+        with pytest.raises(CircuitParseError, match=match):
+            parse_circuit(text)
+
+    def test_field_errors_reported_in_a_fixed_order(self):
+        # three bad fields: the one named must not depend on string hashing
+        code = (
+            "from qftverify.circuit import parse_circuit\n"
+            "try:\n"
+            "    parse_circuit('{\"qubits\": 2, \"gates\": [{\"kind\": \"R\", "
+            "\"n\": \"a\", \"target\": \"b\", \"control\": \"c\"}]}')\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(qftverify.__file__).resolve().parents[1])
+        messages = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env=env, check=True)
+            messages.add(run.stdout.strip())
+        assert messages == {"gate 1: field 'n' must be an integer"}

@@ -138,6 +138,20 @@ class TestErrors:
         assert main(["verify", "-i", str(path)]) == 3
         assert "m must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"qubits": 2, "gates": [{"kind": ["H"], "target": 1}]}',
+        '{"qubits": 2, "gates": [{"kind": {}, "target": 1}]}',
+        "[" * 200_000 + "]" * 200_000,
+    ], ids=["list-kind", "object-kind", "deep-nesting"])
+    def test_hostile_file_is_usage_error(self, tmp_path, capsys, text):
+        # exit 1 would read as a property violation
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        assert main(["verify", "-i", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_smt_backend_without_solver_is_solver_error(self, qft3_file, capsys, monkeypatch):
         monkeypatch.setenv("QFTV_SOLVER", "definitely-not-a-solver-xyz")
         assert main(["verify", "-i", str(qft3_file), "--backend", "smt"]) == 4

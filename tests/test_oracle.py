@@ -1,14 +1,17 @@
+import collections
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qftverify.abstraction import eval_bits
-from qftverify.checker import target_vector
+from qftverify.abstraction import CircuitTypeError, eval_bits
+from qftverify.checker import CheckerConfig, target_vector, verify_circuit
 from qftverify.circuit import (
     IncorrectGateOrder,
     MissingH,
+    enumerate_error_specs,
     generate_qft,
     inject_error,
 )
@@ -19,7 +22,7 @@ from qftverify.oracle import (
     qft_reference,
     simulate,
 )
-from helpers import all_basis_inputs, bits_as_int
+from helpers import all_basis_inputs, bits_as_int, split_rotation, substitution_sites
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -157,3 +160,47 @@ class TestCrossCheck:
         report = cross_check(generate_qft(3), inputs=[(1, 0, 1)])
         assert len(report.checks) == 1
         assert report.checks[0].bits == (1, 0, 1)
+
+
+@st.composite
+def multi_error_circuits(draw):
+    """A 3..6-qubit circuit after 2 or 3 mutations, each drawn from
+    enumerate_error_specs of the circuit so far, and sometimes one rotation
+    split.  Returns the circuit and whether a split was applied."""
+    c = generate_qft(draw(st.integers(3, 6)))
+    steps = ["spec"] * draw(st.integers(2, 3)) + ["split"] * draw(st.integers(0, 1))
+    split = False
+    for step in draw(st.permutations(steps)):
+        sites = substitution_sites(c)
+        if step == "spec":
+            c = inject_error(c, draw(st.sampled_from(list(enumerate_error_specs(c)))))
+        elif sites:
+            c = split_rotation(c, draw(st.sampled_from(sites)))
+            split = True
+    return c, split
+
+
+class TestDifferential:
+    def test_multi_error_verdicts_match_dense_simulation(self):
+        # no false pass and no false fail beyond single errors
+        seen = collections.Counter()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(multi_error_circuits())
+        def check(case):
+            c, split = case
+            overall = verify_circuit(c, CheckerConfig(exhaustive=True)).overall
+            try:
+                reference_ok = cross_check(c).reference_ok
+            except CircuitTypeError:
+                assert overall == "type_error"
+                seen["type_error"] += 1
+                return
+            assert overall != "type_error"
+            assert (overall == "verified") == reference_ok, overall
+            seen[overall, split] += 1
+
+        check()
+        # self-cancelling pairs (verified without a split) and splits both occur
+        assert seen["verified", False] and seen["verified", True]
+        assert seen["violation", False] + seen["violation", True] and seen["type_error"]
