@@ -35,7 +35,6 @@ from .circuit import (
     WrongHInput,
     WrongRnDataInput,
     enumerate_error_specs,
-    format_error_spec,
     generate_qft,
     inject_error,
     iter_qft_gates,

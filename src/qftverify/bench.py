@@ -144,24 +144,30 @@ def _measure(m: int, spec: ErrorSpec | None, label: str) -> BenchRecord:
                        backend=rec.backend, time_s=rec.millis / 1000.0, mem_mb=0.0)
 
 
-def _best(runs: Sequence[BenchRecord], mem_mb: float) -> BenchRecord:
-    return replace(min(runs, key=lambda r: r.time_s), mem_mb=mem_mb)
+def _sweep(m: int, rows: Sequence[tuple[str, ErrorSpec | None]], repeats: int,
+           measure_memory: bool) -> list[BenchRecord]:
+    """One record per ``(label, spec)`` row: each row's memory pass, then
+    ``repeats`` timed rounds over all the rows, and each row's fastest run."""
+    mems = [_peak_mb(m, spec) if measure_memory else 0.0 for _, spec in rows]
+    rounds = [[_measure(m, spec, label) for label, spec in rows] for _ in range(max(1, repeats))]
+    return [replace(min(runs, key=lambda r: r.time_s), mem_mb=mem_mb)
+            for runs, mem_mb in zip(zip(*rounds), mems)]
 
 
 def run_bench(cfg: BenchConfig) -> BenchResult:
     """Run the sweep described by ``cfg``; sizes beyond the cap are skipped
     (with a marker) unless huge sizes are explicitly allowed.  Each record is
-    the best of ``cfg.repeats`` timed verifications."""
+    the best of ``cfg.repeats`` timed verifications, taken round-robin over
+    one size's scenarios.  Every scenario is checked before anything is timed."""
     result = BenchResult()
+    tables = []
     for m in cfg.sizes:
         if m > cfg.size_cap and not cfg.allow_huge:
             result.skipped_sizes.append(m)
-            continue
-        for scenario in cfg.scenarios:
-            spec = scenario_error_spec(scenario, m)
-            mem_mb = _peak_mb(m, spec) if cfg.measure_memory else 0.0
-            runs = [_measure(m, spec, scenario) for _ in range(max(1, cfg.repeats))]
-            result.records.append(_best(runs, mem_mb))
+        else:
+            tables.append((m, [(s, scenario_error_spec(s, m)) for s in cfg.scenarios]))
+    for m, rows in tables:
+        result.records += _sweep(m, rows, cfg.repeats, cfg.measure_memory)
     return result
 
 
@@ -170,21 +176,18 @@ def run_position_sweep(m: int, positions: Sequence[int], repeats: int = 3,
     """Move a rotation-order error across qubit lines and measure each verify.
 
     Position k mutates the first rotation gate of qubit k (lines 1..m-1 carry
-    rotations; the last line has none to mutate).  Scenario labels read
-    incorrect-gate@q<k>.  Each record is the best of ``repeats`` timed
-    verifications, taken round-robin over the positions so that no position
-    is timed straight after its own previous run.
+    rotations; the last line has none to mutate) to order 3, so m >= 3.
+    Scenario labels read incorrect-gate@q<k>.  Each record is the best of
+    ``repeats`` timed verifications, taken round-robin over the positions.
     """
+    if m < 3:
+        raise ValueError(f"a position sweep needs m >= 3, got {m}")
     for k in positions:
         if not 1 <= k <= m - 1:
             raise ValueError(f"position {k} out of range 1..{m - 1}")
-    specs = [IncorrectGateOrder(target=k, ordinal=1, wrong_n=3) for k in positions]
-    mems = [_peak_mb(m, spec) if measure_memory else 0.0 for spec in specs]
-    runs: list[list[BenchRecord]] = [[] for _ in specs]
-    for _ in range(max(1, repeats)):
-        for spec, spec_runs in zip(specs, runs):
-            spec_runs.append(_measure(m, spec, f"incorrect-gate@q{spec.target}"))
-    return BenchResult(records=[_best(r, mem_mb) for r, mem_mb in zip(runs, mems)])
+    rows = [(f"incorrect-gate@q{k}", IncorrectGateOrder(target=k, ordinal=1, wrong_n=3))
+            for k in positions]
+    return BenchResult(records=_sweep(m, rows, repeats, measure_memory))
 
 
 CSV_COLUMNS = ("qubits", "gates", "scenario", "verdict", "backend", "time_s", "mem_mb")

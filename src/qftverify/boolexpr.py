@@ -42,7 +42,6 @@ class AnfBudgetError(Exception):
 
     def __init__(self, budget: int):
         super().__init__(f"ANF exceeded the term budget of {budget} monomials")
-        self.budget = budget
 
 
 # One polynomial per variable index, so a line bit that is exactly its target

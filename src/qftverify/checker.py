@@ -112,12 +112,6 @@ class VerificationReport:
     type_error_gate: int | None = None
     type_error_message: str | None = None
 
-    def record_for(self, qubit: int) -> QubitRecord | None:
-        for rec in self.records:
-            if rec.verdict.qubit == qubit:
-                return rec
-        return None
-
     def to_dict(self) -> dict:
         doc: dict = {
             "qubits": self.qubits,
@@ -150,8 +144,8 @@ class VerificationReport:
         doc["per_qubit"] = entries
         return doc
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 @functools.lru_cache(maxsize=1)

@@ -35,7 +35,6 @@ __all__ = [
     "serialize_circuit",
     "enumerate_error_specs",
     "parse_error_spec",
-    "format_error_spec",
 ]
 
 
@@ -339,6 +338,8 @@ def parse_error_spec(text: str) -> ErrorSpec:
             key = key.strip()
             if not eq or key not in fields:
                 raise CircuitError(f"bad error spec field {part.strip()!r} for kind {kind!r}")
+            if key in given:
+                raise CircuitError(f"error spec field {key!r} is given twice")
             try:
                 given[key] = int(value)
             except ValueError:
@@ -347,15 +348,6 @@ def parse_error_spec(text: str) -> ErrorSpec:
     if missing:
         raise CircuitError(f"error spec {kind!r} is missing fields: {', '.join(missing)}")
     return cls(*(given[f] for f in fields))
-
-
-def format_error_spec(spec: ErrorSpec) -> str:
-    """Inverse of parse_error_spec."""
-    for kind, (cls, fields) in _SPEC_KINDS.items():
-        if isinstance(spec, cls):
-            values = [getattr(spec, f.replace("-", "_")) for f in fields]
-            return kind + ":" + ",".join(f"{f}={v}" for f, v in zip(fields, values))
-    raise CircuitError(f"unknown error spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,8 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.timeout is not None and not args.timeout > 0:
+        raise ValueError(f"--timeout must be a positive number of seconds, got {args.timeout}")
     circuit = _read_circuit(args.input)
     solver = None
     if args.backend in ("smt", "auto"):
@@ -130,6 +132,10 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _cmd_bench(args) -> int:
     if args.position_sweep is not None:
+        ignored = [flag for flag, value in (("--sizes", args.sizes), ("--scenarios", args.scenarios),
+                                            ("--huge", args.huge)) if value not in (None, False)]
+        if ignored:
+            raise ValueError(f"--position-sweep does not take {', '.join(ignored)}")
         positions = _parse_int_list(args.positions) if args.positions else None
         if positions is None:
             m = args.position_sweep
@@ -139,6 +145,8 @@ def _cmd_bench(args) -> int:
             args.position_sweep, positions, repeats=args.repeats,
             measure_memory=not args.no_memory,
         )
+    elif args.positions is not None:
+        raise ValueError("--positions needs --position-sweep")
     else:
         scenarios = (
             [s.strip() for s in args.scenarios.split(",") if s.strip()]

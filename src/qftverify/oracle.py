@@ -3,8 +3,9 @@
 This is the independent Hilbert-space oracle: it executes circuits on basis
 inputs with concrete gate unitaries and cross-validates the rotation
 abstraction against (a) the per-qubit phases the abstraction predicts and
-(b) the textbook transform formula.  Nothing here shares code with the
-symbolic path beyond the circuit IR.
+(b) the textbook transform formula.  The simulation shares no code with the
+symbolic path beyond the circuit IR; cross_check calls run_abstract and
+eval_bits only because they are what it checks.
 
 Basis state indexing puts qubit 1 in the most significant position: input
 bits (b1, .., bm) prepare the state with index sum(b_i * 2**(m-i)).  Rotation
@@ -21,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -178,8 +179,8 @@ class OracleReport:
             ],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _per_qubit_deviation(state: np.ndarray, factors: list[np.ndarray], m: int) -> list[float]:
@@ -203,28 +204,24 @@ def _per_qubit_deviation(state: np.ndarray, factors: list[np.ndarray], m: int) -
     return devs
 
 
-def cross_check(c: CircuitDescription, cap: int = SIM_CAP_DEFAULT,
-                inputs: Iterable[Sequence[int]] | None = None,
-                tol: float = AMPLITUDE_TOL) -> OracleReport:
-    """Validate the abstraction against dense simulation on basis inputs.
+def cross_check(c: CircuitDescription, cap: int = SIM_CAP_DEFAULT) -> OracleReport:
+    """Validate the abstraction against dense simulation on every basis input.
 
-    For every input: (a) the simulated state must equal the product of
+    For each input: (a) the simulated state must equal the product of
     per-qubit factors (|0> + exp(2*pi*i*phase)|1>)/sqrt(2) with each phase
     evaluated from the abstract outputs (a line that stays Control
     contributes its basis factor instead); and (b) the simulated state is
     compared against the bit-reversed transform formula, which a correct
-    circuit must match.  All comparisons are per-amplitude within ``tol``.
-    Type-incorrect circuits raise CircuitTypeError.
+    circuit must match.  All comparisons are per-amplitude within
+    AMPLITUDE_TOL.  Type-incorrect circuits raise CircuitTypeError.
     """
     m = c.m
     _check_cap(m, cap)
     outputs = run_abstract(c)
     canonical = c == generate_qft(m)
-    if inputs is None:
-        inputs = [tuple((j >> (m - 1 - t)) & 1 for t in range(m)) for j in range(2 ** m)]
     checks: list[InputCheck] = []
-    for raw_bits in inputs:
-        bits = _check_bits(raw_bits, m)
+    for j in range(2 ** m):
+        bits = tuple((j >> (m - 1 - t)) & 1 for t in range(m))
         assignment = {k: bits[k - 1] for k in range(1, m + 1)}
         factors: list[np.ndarray] = []
         for i in range(1, m + 1):
@@ -241,15 +238,14 @@ def cross_check(c: CircuitDescription, cap: int = SIM_CAP_DEFAULT,
             expected = np.kron(expected, factor)
         state = simulate(c, bits, cap=cap)
         product_dev = float(np.max(np.abs(state - expected)))
-        product_ok = product_dev <= tol
+        product_ok = product_dev <= AMPLITUDE_TOL
         failing: tuple[int, ...] = ()
         if not product_ok:
             devs = _per_qubit_deviation(state, factors, m)
-            failing = tuple(i + 1 for i, d in enumerate(devs) if d > tol)
-        j = int("".join(str(b) for b in bits), 2)
+            failing = tuple(i + 1 for i, d in enumerate(devs) if d > AMPLITUDE_TOL)
         reference = bit_reversed(qft_reference(j, m, cap=cap), m)
         ref_dev = float(np.max(np.abs(state - reference)))
-        reference_ok = ref_dev <= tol
+        reference_ok = ref_dev <= AMPLITUDE_TOL
         max_dev = max(product_dev, ref_dev)
         checks.append(InputCheck(
             bits=bits, product_ok=product_ok, reference_ok=reference_ok,

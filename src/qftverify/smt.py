@@ -193,17 +193,17 @@ def invoke_solver(cfg: SolverConfig, obligation_path: Path | str) -> SolverResul
     """Run the solver on one obligation file and classify its verdict.
 
     Timeouts are enforced at the process level (solver-agnostic) and reported
-    as Unknown("timeout").  A missing executable or unclassifiable output
-    becomes a failure result rather than an exception.
+    as Unknown("timeout").  A solver that cannot be launched, or output that
+    cannot be classified, becomes a failure result rather than an exception;
+    bytes that are not UTF-8 are read as replacement characters.
     """
     path = Path(obligation_path)
     argv = shlex.split(cfg.command) + [str(path)]
     start = time.perf_counter()
     try:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=cfg.timeout_s
-        )
-    except FileNotFoundError as exc:
+        proc = subprocess.run(argv, capture_output=True, encoding="utf-8", errors="replace",
+                              timeout=cfg.timeout_s)
+    except OSError as exc:
         return SolverResult("failure", reason=f"cannot launch solver: {exc}",
                             wall_s=time.perf_counter() - start)
     except subprocess.TimeoutExpired:

@@ -68,6 +68,26 @@ class TestRunBench:
         assert rows[0]["qubits"] == "8" and rows[0]["gates"] == "36"
         assert rows[1]["scenario"] == "gate-2" and rows[1]["verdict"] == "violation"
 
+    def test_repeats_run_round_robin(self, monkeypatch):
+        labels = []
+        measure = bench._measure
+        monkeypatch.setattr(bench, "_measure",
+                            lambda m, spec, label: labels.append(label) or measure(m, spec, label))
+        run_bench(BenchConfig(sizes=[8], scenarios=["correct", "gate-2"], repeats=2,
+                              measure_memory=False))
+        assert labels == ["correct", "gate-2"] * 2
+
+    @pytest.mark.parametrize("sizes,scenarios", [([8], ["correct", "gate-7"]),
+                                                 ([8, 3], ["correct", "gate-2"])],
+                             ids=["unknown-scenario", "m-below-4"])
+    def test_bad_row_fails_before_anything_is_timed(self, monkeypatch, sizes, scenarios):
+        def measure(m, spec, label):
+            raise AssertionError(f"timed {label} at m={m}")
+
+        monkeypatch.setattr(bench, "_measure", measure)
+        with pytest.raises(ValueError, match="unknown scenario|m >= 4"):
+            run_bench(BenchConfig(sizes=sizes, scenarios=scenarios))
+
     def test_plot_data_blocks(self, tmp_path):
         out = tmp_path / "plot.dat"
         write_plot_data(run_bench(BenchConfig(sizes=[8, 12], scenarios=["correct", "gate-2"])), out)

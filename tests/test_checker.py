@@ -155,7 +155,8 @@ class TestVerifyCircuit:
         mutated = inject_error(generate_qft(3), MissingH(3))
         report = verify_circuit(mutated, CheckerConfig(exhaustive=True))
         assert report.overall == VIOLATION
-        verdict = report.record_for(3).verdict
+        verdict = report.records[2].verdict
+        assert verdict.qubit == 3
         assert verdict.status == VIOLATION
         assert verdict.actual is None
         assert verdict.counterexample is not None

@@ -19,7 +19,6 @@ from qftverify.circuit import (
     WrongHInput,
     WrongRnDataInput,
     enumerate_error_specs,
-    format_error_spec,
     generate_qft,
     inject_error,
     iter_qft_gates,
@@ -222,7 +221,6 @@ class TestSpecTextForm:
     def test_round_trip(self, text, expected):
         spec = parse_error_spec(text)
         assert spec == expected
-        assert parse_error_spec(format_error_spec(spec)) == spec
 
     def test_bad_kind(self):
         with pytest.raises(CircuitError, match="unknown error kind"):
@@ -231,6 +229,11 @@ class TestSpecTextForm:
     def test_missing_field(self):
         with pytest.raises(CircuitError, match="missing fields"):
             parse_error_spec("incorrect-gate:target=1")
+
+    def test_repeated_field(self):
+        # a typo must not silently mutate another line
+        with pytest.raises(CircuitError, match="'target' is given twice"):
+            parse_error_spec("incorrect-gate:target=1,target=2,ordinal=1,wrong-n=3")
 
 
 class TestFiles:

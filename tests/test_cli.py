@@ -1,4 +1,6 @@
+import io
 import json
+import stat
 import subprocess
 import sys
 
@@ -33,6 +35,11 @@ class TestGenerateVerify:
         assert doc["overall"] == "verified"
         assert len(doc["per_qubit"]) == 3
 
+    def test_verify_reads_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_circuit(generate_qft(3))))
+        assert main(["verify", "-i", "-"]) == 0
+        assert "overall: verified" in capsys.readouterr().out
+
 
 class TestInject:
     def test_gate_error_gives_violation_exit(self, qft3_file, tmp_path, capsys):
@@ -48,6 +55,15 @@ class TestInject:
         main(["inject", "--error", "missing-h:target=2", "-i", str(qft3_file), "-o", str(out)])
         assert main(["verify", "-i", str(out)]) == 2
         assert "type error" in capsys.readouterr().out
+
+    def test_type_error_json(self, qft3_file, tmp_path, capsys):
+        out = tmp_path / "bad.json"
+        main(["inject", "--error", "duplicate-h:target=2", "-i", str(qft3_file), "-o", str(out)])
+        assert main(["verify", "-i", str(out), "--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["overall"] == "type_error" and doc["per_qubit"] == []
+        assert doc["type_error"] == {"kind": "duplicate-h", "line": 2, "gate": 5,
+                                     "message": "gate 5 (line 2): second H gate on line 2"}
 
     def test_composed_errors_apply_in_order(self, qft3_file, tmp_path):
         out = tmp_path / "bad.json"
@@ -81,6 +97,12 @@ class TestOracleCheck:
         assert main(["oracle-check", "-i", str(out)]) == 1
         text = capsys.readouterr().out
         assert "abstraction ok" in text and "reference mismatch" in text
+
+    def test_json_output(self, qft3_file, capsys):
+        assert main(["oracle-check", "-i", str(qft3_file), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] and doc["canonical"]
+        assert [entry["bits"] for entry in doc["inputs"]] == [f"{j:03b}" for j in range(8)]
 
     def test_cap_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -152,9 +174,39 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["inject", "--error", "incorrect-gate:target=1,target=2,ordinal=1,wrong-n=3",
+          "-i", "{file}", "-o", "-"], "field 'target' is given twice"),
+        (["bench", "--positions", "1,2"], "--positions needs --position-sweep"),
+        (["bench", "--position-sweep", "8", "--sizes", "8"], "does not take --sizes"),
+        (["bench", "--position-sweep", "8", "--scenarios", "correct"], "does not take --scenarios"),
+        (["bench", "--position-sweep", "8", "--huge"], "does not take --huge"),
+        (["bench", "--position-sweep", "1"], "needs m >= 3, got 1"),
+        (["bench", "--position-sweep", "2"], "needs m >= 3, got 2"),
+        (["verify", "-i", "{file}", "--timeout", "0"], "--timeout must be a positive"),
+        (["verify", "-i", "{file}", "--timeout", "-1"], "--timeout must be a positive"),
+    ], ids=["repeated-spec-field", "positions-alone", "sweep-sizes", "sweep-scenarios",
+            "sweep-huge", "sweep-m1", "sweep-m2", "timeout-0", "timeout-negative"])
+    def test_rejected_arguments_exit_3(self, qft3_file, capsys, argv, message):
+        # a flag the command would ignore or cannot honour is a usage error
+        assert main([str(qft3_file) if a == "{file}" else a for a in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err and captured.out == ""
+
     def test_smt_backend_without_solver_is_solver_error(self, qft3_file, capsys, monkeypatch):
         monkeypatch.setenv("QFTV_SOLVER", "definitely-not-a-solver-xyz")
         assert main(["verify", "-i", str(qft3_file), "--backend", "smt"]) == 4
+
+    @pytest.mark.parametrize("script", [b"#!/bin/sh\nprintf 'unsat\\377\\n'\n", b"echo unsat\n"],
+                             ids=["non-utf8-output", "no-shebang"])
+    def test_solver_failure_exits_4(self, qft3_file, tmp_path, capsys, monkeypatch, script):
+        solver = tmp_path / "solver"
+        solver.write_bytes(script)
+        solver.chmod(solver.stat().st_mode | stat.S_IXUSR)
+        monkeypatch.setenv("QFTV_SOLVER", str(solver))
+        assert main(["verify", "-i", str(qft3_file), "--backend", "smt"]) == 4
+        assert "overall: unresolved" in capsys.readouterr().out
 
 
 class TestConsoleScript:

@@ -156,11 +156,6 @@ class TestCrossCheck:
         assert len(doc["inputs"]) == 4
         assert doc["inputs"][0]["bits"] == "00"
 
-    def test_explicit_inputs_subset(self):
-        report = cross_check(generate_qft(3), inputs=[(1, 0, 1)])
-        assert len(report.checks) == 1
-        assert report.checks[0].bits == (1, 0, 1)
-
 
 @st.composite
 def multi_error_circuits(draw):

@@ -118,41 +118,48 @@ class TestParseModel:
             parse_model("segmentation fault", 2)
 
 
-class TestInvokeSolver:
-    def _script(self, tmp_path, body: str) -> Path:
-        path = tmp_path / "fake-solver"
-        path.write_text("#!/bin/sh\n" + body)
-        path.chmod(path.stat().st_mode | stat.S_IXUSR)
-        return path
+def fake_solver(tmp_path, body: str) -> Path:
+    path = tmp_path / "fake-solver"
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(path.stat().st_mode | stat.S_IXUSR)
+    return path
 
+
+class TestInvokeSolver:
     def _obligation(self, tmp_path) -> Path:
         path = tmp_path / "q1.smt2"
         path.write_text(emit_smt2(generate_qft(2), 1))
         return path
 
     def test_unsat_classification(self, tmp_path):
-        fake = self._script(tmp_path, "echo unsat\n")
+        fake = fake_solver(tmp_path, "echo unsat\n")
         result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path))
         assert result.status == "unsat"
         assert result.wall_s >= 0
 
     def test_sat_with_model(self, tmp_path):
-        fake = self._script(tmp_path, 'echo sat\necho "(define-fun b1 () Bool true)"\n')
+        fake = fake_solver(tmp_path, 'echo sat\necho "(define-fun b1 () Bool true)"\n')
         result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path))
         assert result.status == "sat"
         assert result.model.values == {1: 1, 2: 0}
         assert result.model.defaulted == (2,)
 
     def test_sat_without_model_is_failure(self, tmp_path):
-        fake = self._script(tmp_path, "echo sat\n")
+        fake = fake_solver(tmp_path, "echo sat\n")
         result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path))
         assert result.status == "failure"
 
     def test_garbage_output_is_failure(self, tmp_path):
-        fake = self._script(tmp_path, "echo lizard\nexit 3\n")
+        fake = fake_solver(tmp_path, "echo lizard\nexit 3\n")
         result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path))
         assert result.status == "failure"
         assert "exit 3" in result.reason
+
+    def test_unknown_classification(self, tmp_path):
+        fake = fake_solver(tmp_path, "echo unknown\n")
+        result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path))
+        assert result.status == "unknown"
+        assert result.reason == "solver returned unknown"
 
     def test_missing_binary_is_failure(self, tmp_path):
         result = invoke_solver(SolverConfig(command=str(tmp_path / "nope")), self._obligation(tmp_path))
@@ -160,7 +167,7 @@ class TestInvokeSolver:
         assert "cannot launch" in result.reason
 
     def test_timeout_is_unknown(self, tmp_path):
-        fake = self._script(tmp_path, "sleep 5\necho unsat\n")
+        fake = fake_solver(tmp_path, "sleep 5\necho unsat\n")
         result = invoke_solver(SolverConfig(command=str(fake), timeout_s=0.2),
                                self._obligation(tmp_path))
         assert result.status == "unknown"
@@ -240,6 +247,25 @@ class TestMinisolverEndToEnd:
         sigma = tuple(verdict.counterexample[k] for k in range(1, m + 1))
         assert bits_as_int(verdict.actual) == concrete_line_values(c, sigma)[0]
         assert verdict.actual != verdict.expected
+
+    def test_omitted_model_entries_are_flagged(self, tmp_path):
+        # b2 alone separates line 1 of this mutant; b1, b3 and b4 default to false
+        fake = fake_solver(tmp_path, 'echo sat\necho "(define-fun b2 () Bool true)"\n')
+        mutated = inject_error(generate_qft(4), IncorrectGateOrder(target=1, ordinal=1, wrong_n=3))
+        report = verify_circuit(mutated, CheckerConfig(backend="smt",
+                                                       solver=SolverConfig(command=str(fake))))
+        verdict = report.records[0].verdict
+        assert verdict.status == VIOLATION
+        assert verdict.counterexample == {1: 0, 2: 1, 3: 0, 4: 0}
+        assert verdict.detail == "model omitted b1, b3, b4; defaulted to false"
+
+    def test_model_that_does_not_separate_is_unresolved(self, tmp_path):
+        # a correct line cannot be refuted, whatever model the solver claims
+        fake = fake_solver(tmp_path, 'echo sat\necho "(define-fun b1 () Bool true)"\n')
+        report = verify_circuit(generate_qft(3), CheckerConfig(backend="smt",
+                                                               solver=SolverConfig(command=str(fake))))
+        assert report.overall == UNRESOLVED
+        assert "failed local re-validation" in report.records[0].verdict.detail
 
     def test_solver_timeout_gives_unresolved_verdict(self, tmp_path):
         slow = tmp_path / "slow-solver"
