@@ -18,12 +18,12 @@ errors that expose structural circuit defects.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .boolexpr import DEFAULT_TERM_BUDGET, FALSE, AnfBudgetError, and_, evaluate, sorted_monomials, var
-from .circuit import CircuitDescription, GateInstance
+from .circuit import CircuitDescription
 
 __all__ = [
     "TypeErrorKind",
@@ -106,36 +106,47 @@ class AbstractOutputs:
         return self.per_qubit[i - 1]
 
 
-def group_gates_by_line(c: CircuitDescription) -> list[list[GateInstance]]:
+# A typed line: its rotations' orders and controls in program order, or None
+# for a line that never receives its H.  The H is implicit: on a well-typed
+# line it is always the first gate, and it loads the line's own input.
+Line = tuple[Sequence[int], Sequence[int]] | None
+
+
+def group_gates_by_line(c: CircuitDescription) -> list[Line]:
     """The wire discipline, checked in one program-order walk that groups gates by line.
 
     A line takes at most one H, and no rotation before it.  The first gate
     that breaks this raises CircuitTypeError, located by program ordinal.
-    Returns each line's gates in program order: index 0 holds line 1, and a
-    line's list is empty exactly when it never receives an H.
+    Returns each line as integer columns: index 0 holds line 1, a line is
+    ``(orders, controls)`` for its rotations in program order, and it is
+    None exactly when it never receives an H.
     """
-    lines: list[list[GateInstance]] = [[] for _ in range(c.m)]
+    lines: list[Line] = [None] * c.m
     for ordinal, gate in enumerate(c.gates, start=1):
         line = gate.target
-        gates = lines[line - 1]
+        columns = lines[line - 1]
         if gate.kind == "H":
-            if len(gates) > 1:
+            if columns is None:
+                lines[line - 1] = ([], [])
+            elif columns[0]:
                 raise CircuitTypeError(
                     TypeErrorKind.H_ON_DATA_WIRE, line, ordinal,
                     f"H applied to line {line} after it became a data wire",
                 )
-            if gates:
+            else:
                 raise CircuitTypeError(
                     TypeErrorKind.DUPLICATE_H, line, ordinal,
                     f"second H gate on line {line}",
                 )
-        elif not gates:
+        elif columns is None:
             raise CircuitTypeError(
                 TypeErrorKind.RN_DATA_PORT_GOT_CONTROL, line, ordinal,
                 f"rotation targets line {line}, which has no preceding H "
                 f"(control value on a data port)",
             )
-        gates.append(gate)
+        else:
+            columns[0].append(gate.n)
+            columns[1].append(gate.control)
     return lines
 
 
@@ -148,26 +159,52 @@ def typecheck(c: CircuitDescription) -> None:
     group_gates_by_line(c)
 
 
-def _interpret_line(m: int, gates: Sequence[GateInstance], budget: int = DEFAULT_TERM_BUDGET,
-                    leaf: Callable[[int], frozenset[int]] = var) -> list[frozenset[int]] | None:
-    """Run one well-typed line's gates under the abstract semantics.
+@functools.lru_cache(maxsize=1)
+def _var_row(m: int) -> list[frozenset[int]]:
+    """b1..bm, then m FALSE; never mutated.  Entry k-1 is input b_k's
+    variable, and the m entries from index i-1 are qubit i's target form."""
+    return [*map(var, range(1, m + 1)), *(FALSE,) * m]
 
-    Returns the final bit list, or None if the line never receives an H (its
-    gate list is then empty).  ``leaf(k)`` is the value of input b_k: its
-    variable by default, or a constant to run the line on one input.  The
-    one-hot adds are done in place with early carry cut-off, so a gate costs
-    O(live carry chain), not O(m).  Raises AnfBudgetError when a sum or a
-    carry exceeds ``budget`` monomials.
+
+def _check_line(m: int, i: int, orders: Sequence[int], controls: Sequence[int]) -> None:
+    """Raise ValueError unless line i of m has one control per order, and
+    i, every order and every control are in 1..m."""
+    if not 1 <= i <= m:
+        raise ValueError(f"line {i} out of range 1..{m}")
+    if len(orders) != len(controls):
+        raise ValueError(f"line {i} has {len(orders)} orders but {len(controls)} controls")
+    if not orders:
+        return
+    low, high = min(orders), max(orders)
+    if high > m or low < 1:
+        raise ValueError(f"rotation order {high if high > m else low} not representable in {m} bits")
+    low, high = min(controls), max(controls)
+    if high > m or low < 1:
+        raise ValueError(f"control {high if high > m else low} out of range 1..{m}")
+
+
+def _interpret_line(m: int, i: int, line: Line, budget: int = DEFAULT_TERM_BUDGET,
+                    values: Sequence[frozenset[int]] | None = None) -> list[frozenset[int]] | None:
+    """Run line i under the abstract semantics.
+
+    ``line`` is ``(orders, controls)`` as group_gates_by_line gives it;
+    returns the final bit list, or None for a line that never receives an H.
+    ``values[k-1]`` is the value of input b_k: its variable by default, or a
+    constant to run the line on one input.  The one-hot adds are done in
+    place with early carry cut-off, so a gate costs O(live carry chain), not
+    O(m).  Raises ValueError for a line that _check_line rejects, and
+    AnfBudgetError when a sum or a carry exceeds ``budget`` monomials.
     """
-    if not gates:
+    if line is None:
         return None
+    orders, controls = line
+    _check_line(m, i, orders, controls)
+    if values is None:
+        values = _var_row(m)
     bits = [FALSE] * m
-    bits[0] = leaf(gates[0].target)
-    for gate in itertools.islice(gates, 1, None):
-        n = gate.n
-        if n > m:
-            raise ValueError(f"rotation order {n} not representable in {m} bits")
-        carry = leaf(gate.control)
+    bits[0] = values[i - 1]
+    for n, k in zip(orders, controls):
+        carry = values[k - 1]
         p = n - 1
         while carry:
             bit = bits[p]
@@ -192,7 +229,7 @@ def run_abstract(c: CircuitDescription) -> AbstractOutputs:
     initial values only), so each line is folded independently.
     """
     outputs: list[SymbolicBitVector | None] = []
-    for gates in group_gates_by_line(c):
-        bits = _interpret_line(c.m, gates)
+    for i, line in enumerate(group_gates_by_line(c), start=1):
+        bits = _interpret_line(c.m, i, line)
         outputs.append(None if bits is None else SymbolicBitVector(c.m, tuple(bits)))
     return AbstractOutputs(c.m, tuple(outputs))

@@ -9,29 +9,30 @@ nature and recorded as such.
 
 Sizes above the desk-scale cap are skipped unless explicitly allowed, and a
 skip is marked in the results rather than silently dropped.  Every size is
-verified by streaming the generated gates line by line instead of
-materializing millions of gate objects.
+verified by streaming the circuit line by line, each line as the integer
+columns of its rotations' orders and controls in closed form, so neither the
+circuit nor a gate object of an unmutated line is ever built.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import tracemalloc
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from .abstraction import Line, group_gates_by_line
 from .checker import VERIFIED, CheckerConfig, verify_lines
 from .circuit import (
     CircuitDescription,
     ErrorSpec,
-    GateInstance,
     IncorrectControl,
     IncorrectGateOrder,
     inject_error,
-    iter_qft_gates,
     qft_gate_count,
+    qft_line,
+    qft_line_gates,
 )
 
 __all__ = [
@@ -108,22 +109,22 @@ def scenario_error_spec(name: str, m: int) -> ErrorSpec | None:
     raise ValueError(f"unknown scenario {name!r}; expected one of {', '.join(TABLE_SCENARIOS)}")
 
 
-def _qft_lines(m: int, spec: ErrorSpec | None) -> Iterator[list[GateInstance]]:
-    """The generated circuit with ``spec`` applied, cut into lines, one at a time.
+def _qft_lines(m: int, spec: ErrorSpec | None) -> Iterator[Line]:
+    """The generated circuit with ``spec`` applied, as typed lines, one at a time.
 
-    The canonical generator emits each line's gates contiguously, and gate
-    and control mutations keep every gate on its line and every line well
-    typed, so the mutated line is made by inject_error on that line alone and
-    the whole circuit never exists at once.
+    Each line's columns come in closed form (qft_line), so no gate object is
+    built for them.  Gate and control mutations keep every gate on its line
+    and every line well typed, so the mutated line is made by inject_error
+    on that line's gates alone and then grouped.
     """
     if spec is not None and not isinstance(spec, (IncorrectGateOrder, IncorrectControl)):
         raise ValueError(f"streaming benchmarks support gate and control mutations, not {spec!r}")
-    gates = iter_qft_gates(m)
     for i in range(1, m + 1):
-        line = list(itertools.islice(gates, m - i + 1))
         if spec is not None and spec.target == i:
-            line = list(inject_error(CircuitDescription(m, tuple(line)), spec).gates)
-        yield line
+            line = CircuitDescription(m, tuple(qft_line_gates(m, i)))
+            yield group_gates_by_line(inject_error(line, spec))[i - 1]
+        else:
+            yield qft_line(m, i)
 
 
 def _peak_mb(m: int, spec: ErrorSpec | None) -> float:
@@ -148,8 +149,10 @@ def _sweep(m: int, rows: Sequence[tuple[str, ErrorSpec | None]], repeats: int,
            measure_memory: bool) -> list[BenchRecord]:
     """One record per ``(label, spec)`` row: each row's memory pass, then
     ``repeats`` timed rounds over all the rows, and each row's fastest run."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     mems = [_peak_mb(m, spec) if measure_memory else 0.0 for _, spec in rows]
-    rounds = [[_measure(m, spec, label) for label, spec in rows] for _ in range(max(1, repeats))]
+    rounds = [[_measure(m, spec, label) for label, spec in rows] for _ in range(repeats)]
     return [replace(min(runs, key=lambda r: r.time_s), mem_mb=mem_mb)
             for runs, mem_mb in zip(zip(*rounds), mems)]
 

@@ -14,19 +14,21 @@ import functools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import smt
-from .boolexpr import DEFAULT_TERM_BUDGET, FALSE, TRUE, AnfBudgetError, evaluate, sorted_monomials, var
+from .boolexpr import DEFAULT_TERM_BUDGET, FALSE, TRUE, AnfBudgetError, evaluate, sorted_monomials
 from .abstraction import (
     AbstractOutputs,
     CircuitTypeError,
+    Line,
     SymbolicBitVector,
     _interpret_line,
+    _var_row,
     bits_to_string,
     group_gates_by_line,
 )
-from .circuit import CircuitDescription, GateInstance
+from .circuit import CircuitDescription
 
 __all__ = [
     "CheckerConfig",
@@ -148,17 +150,11 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-@functools.lru_cache(maxsize=1)
-def _target_row(m: int) -> tuple[frozenset[int], ...]:
-    # b1..bm then m zeros: qubit i's target form is the m bits from index i-1
-    return (*map(var, range(1, m + 1)), *(FALSE,) * m)
-
-
 def target_vector(i: int, m: int) -> SymbolicBitVector:
     """The required output form for qubit i: bits b(i), b(i+1), .., b(m), 0, .., 0."""
     if not 1 <= i <= m:
         raise IndexError(f"qubit {i} out of range 1..{m}")
-    return SymbolicBitVector(m, _target_row(m)[i - 1:i - 1 + m])
+    return SymbolicBitVector(m, tuple(_var_row(m)[i - 1:i - 1 + m]))
 
 
 def _expected_bits(assignment: dict[int, int], i: int, m: int) -> tuple[int, ...]:
@@ -207,18 +203,18 @@ def _witness(i: int, m: int, assignment: dict[int, int], actual: tuple[int, ...]
                         expected=expected, actual=actual, detail=detail)
 
 
-def _check_line_bits(bits: Sequence[frozenset[int]] | None, i: int, m: int) -> QubitVerdict:
+def _check_line_bits(bits: list[frozenset[int]] | None, i: int, m: int) -> QubitVerdict:
     """Decide one qubit from its final bit list (None = line stayed Control)."""
     if bits is None:
         return _witness(i, m, _assignment((i,), m), None,
                         "line never receives an H gate; its output stays an unrotated control wire")
-    targets = _target_row(m)[i - 1:i - 1 + m]
-    for p, (actual_bit, target_bit) in enumerate(zip(bits, targets), start=1):
-        # var(k) and FALSE are single objects, so correct bits match by identity
-        if actual_bit is not target_bit and actual_bit != target_bit:
-            break
-    else:
+    targets = _var_row(m)[i - 1:i - 1 + m]
+    # var(k) and FALSE are single objects, so a correct line matches by identity
+    if bits == targets:
         return QubitVerdict(qubit=i, status=VERIFIED)
+    for p, (actual_bit, target_bit) in enumerate(zip(bits, targets), start=1):
+        if actual_bit != target_bit:
+            break
     true_vars = sorted_monomials(actual_bit ^ target_bit)[0]
     mask = sum(1 << v for v in true_vars)
     actual = tuple([evaluate(b, mask) if b else 0 for b in bits])
@@ -230,29 +226,29 @@ def _check_line_bits(bits: Sequence[frozenset[int]] | None, i: int, m: int) -> Q
     return verdict
 
 
-def _solver_verdict(solver: smt.SolverConfig, i: int, m: int,
-                    gates: Sequence[GateInstance]) -> QubitVerdict:
+def _solver_verdict(solver: smt.SolverConfig, i: int, m: int, line: Line) -> QubitVerdict:
     """Decide one qubit with the external solver.
 
     A sat model is re-validated by running the line on the model's input
     values before a violation is reported, so a nonconforming solver cannot
     fabricate a counterexample.
     """
-    if not gates:
+    if line is None:
         return _check_line_bits(None, i, m)
-    result = smt.solve_line(solver, gates, i, m)
+    result = smt.solve_line(solver, line, i, m)
     if result.status == "unsat":
         return QubitVerdict(qubit=i, status=VERIFIED)
     if result.status != "sat":
         return QubitVerdict(qubit=i, status=UNRESOLVED,
                             detail=f"solver {result.status}: {result.reason}")
     assignment = dict(result.model.values)
-    values = _interpret_line(m, gates, leaf=lambda k: TRUE if assignment[k] else FALSE)
+    bits = _interpret_line(m, i, line, values=[TRUE if assignment[k] else FALSE
+                                               for k in range(1, m + 1)])
     detail = ""
     if result.model.defaulted:
         names = ", ".join(f"b{k}" for k in result.model.defaulted)
         detail = f"model omitted {names}; defaulted to false"
-    verdict = _witness(i, m, assignment, tuple(1 if b else 0 for b in values), detail)
+    verdict = _witness(i, m, assignment, tuple(1 if b else 0 for b in bits), detail)
     if verdict is None:
         return QubitVerdict(qubit=i, status=UNRESOLVED,
                             detail="solver model failed local re-validation; treating as unresolved")
@@ -262,22 +258,21 @@ def _solver_verdict(solver: smt.SolverConfig, i: int, m: int,
 def check_qubit(outputs: AbstractOutputs, i: int) -> QubitVerdict:
     """Decide one qubit of precomputed abstract outputs."""
     vec = outputs.qubit(i)
-    return _check_line_bits(None if vec is None else vec.bits, i, outputs.width)
+    return _check_line_bits(None if vec is None else list(vec.bits), i, outputs.width)
 
 
-def _verify_one_qubit(gates: Sequence[GateInstance], i: int, m: int,
-                      cfg: CheckerConfig) -> QubitRecord:
+def _verify_one_qubit(line: Line, i: int, m: int, cfg: CheckerConfig) -> QubitRecord:
     start = time.perf_counter()
     backend = "anf"
     if cfg.backend == "smt":
-        verdict = _solver_verdict(cfg.solver, i, m, gates)
+        verdict = _solver_verdict(cfg.solver, i, m, line)
         backend = "smt"
     else:
         try:
-            verdict = _check_line_bits(_interpret_line(m, gates, cfg.anf_budget), i, m)
+            verdict = _check_line_bits(_interpret_line(m, i, line, cfg.anf_budget), i, m)
         except AnfBudgetError as exc:
             if cfg.backend == "auto" and cfg.solver is not None:
-                verdict = _solver_verdict(cfg.solver, i, m, gates)
+                verdict = _solver_verdict(cfg.solver, i, m, line)
                 backend = "smt"
             else:
                 verdict = QubitVerdict(
@@ -288,23 +283,27 @@ def _verify_one_qubit(gates: Sequence[GateInstance], i: int, m: int,
     return QubitRecord(verdict=verdict, backend=backend, millis=millis)
 
 
-def verify_lines(m: int, gate_count: int, lines: Iterable[Sequence[GateInstance]],
+def verify_lines(m: int, gate_count: int, lines: Iterable[Line],
                  cfg: CheckerConfig) -> VerificationReport:
-    """Decide every qubit of a circuit given as well-typed per-line gate lists.
+    """Decide every qubit of a circuit given as well-typed lines.
 
-    ``lines`` yields line 1, 2, .. in order and is consumed lazily, one line
-    at a time, so a streamed circuit never needs to exist whole.  Per-qubit
-    work (interpreting that line's gates and checking its output) is timed
-    separately so reported times reflect the independent per-qubit
-    obligations rather than the whole-circuit sweep.  In short-circuit mode
+    ``lines`` yields line 1, 2, .. in order, each as group_gates_by_line
+    gives it: ``(orders, controls)`` for its rotations in program order, or
+    None for a line without an H.  It is consumed lazily, one line at a
+    time, so a streamed circuit never needs to exist whole.  A malformed
+    line (columns of unequal length, or a line index, order or control
+    outside 1..m) raises ValueError.  Per-qubit work (interpreting that
+    line's gates and checking its output) is timed separately so reported
+    times reflect the independent per-qubit obligations rather than the
+    whole-circuit sweep.  In short-circuit mode
     no line is pulled after the first non-verified qubit.  The solver, when
     the backend asks for one, is ``cfg.solver``.
     """
     if cfg.backend == "smt" and cfg.solver is None:
         raise SolverUnavailableError("smt backend requested but no solver is configured")
     report = VerificationReport(qubits=m, gate_count=gate_count, overall=VERIFIED)
-    for i, gates in enumerate(lines, start=1):
-        rec = _verify_one_qubit(gates, i, m, cfg)
+    for i, line in enumerate(lines, start=1):
+        rec = _verify_one_qubit(line, i, m, cfg)
         report.records.append(rec)
         if rec.verdict.status != VERIFIED and not cfg.exhaustive:
             break

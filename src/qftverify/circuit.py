@@ -10,6 +10,7 @@ indices are 1-based throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from typing import Iterator, Union
@@ -29,6 +30,8 @@ __all__ = [
     "ErrorSpec",
     "generate_qft",
     "iter_qft_gates",
+    "qft_line",
+    "qft_line_gates",
     "qft_gate_count",
     "inject_error",
     "parse_circuit",
@@ -118,6 +121,28 @@ def qft_gate_count(m: int) -> int:
     return m * (m + 1) // 2
 
 
+@functools.lru_cache(maxsize=1)
+def _naturals(m: int) -> list[int]:
+    # never mutated: slicing one list of shared ints is several times cheaper
+    # than list(range(..)), which allocates a new int per entry
+    return list(range(m + 1))
+
+
+def qft_line(m: int, i: int) -> tuple[list[int], list[int]]:
+    """Line i's rotations in the canonical circuit, as (orders, controls):
+    R(n) controlled by line i+n-1, for n = 2..m-i+1.  The line's H precedes
+    them."""
+    naturals = _naturals(m)
+    return naturals[2:m - i + 2], naturals[i + 1:m + 1]
+
+
+def qft_line_gates(m: int, i: int) -> Iterator[GateInstance]:
+    """Line i's gates in the canonical circuit: its H, then its rotations."""
+    yield GateInstance("H", i)
+    for n, control in zip(*qft_line(m, i)):
+        yield GateInstance("R", i, n=n, control=control)
+
+
 def iter_qft_gates(m: int) -> Iterator[GateInstance]:
     """Stream the canonical circuit's gates without materializing them.
 
@@ -129,9 +154,7 @@ def iter_qft_gates(m: int) -> Iterator[GateInstance]:
     if m < 1:
         raise CircuitError(f"m must be >= 1, got {m}")
     for i in range(1, m + 1):
-        yield GateInstance("H", i)
-        for n in range(2, m - i + 2):
-            yield GateInstance("R", i, n=n, control=i + n - 1)
+        yield from qft_line_gates(m, i)
 
 
 def generate_qft(m: int) -> CircuitDescription:

@@ -67,6 +67,11 @@ def _cmd_inject(args) -> int:
 def _cmd_verify(args) -> int:
     if args.timeout is not None and not args.timeout > 0:
         raise ValueError(f"--timeout must be a positive number of seconds, got {args.timeout}")
+    if args.backend == "anf":
+        ignored = [flag for flag, value in (("--solver", args.solver), ("--timeout", args.timeout))
+                   if value is not None]
+        if ignored:
+            raise ValueError(f"--backend anf does not take {', '.join(ignored)}")
     circuit = _read_circuit(args.input)
     solver = None
     if args.backend in ("smt", "auto"):
@@ -148,12 +153,15 @@ def _cmd_bench(args) -> int:
     elif args.positions is not None:
         raise ValueError("--positions needs --position-sweep")
     else:
+        sizes = _parse_int_list(args.sizes or "")
+        if not sizes:
+            raise ValueError("bench needs --sizes or --position-sweep")
         scenarios = (
             [s.strip() for s in args.scenarios.split(",") if s.strip()]
             if args.scenarios else list(bench_mod.TABLE_SCENARIOS)
         )
         cfg = bench_mod.BenchConfig(
-            sizes=_parse_int_list(args.sizes) if args.sizes else [],
+            sizes=sizes,
             scenarios=scenarios,
             repeats=args.repeats,
             allow_huge=args.huge,

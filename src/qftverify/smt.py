@@ -23,10 +23,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
-from .abstraction import group_gates_by_line
-from .circuit import CircuitDescription, GateInstance
+from .abstraction import Line, _check_line, group_gates_by_line
+from .circuit import CircuitDescription
 
 __all__ = [
     "SolverConfig",
@@ -98,25 +97,23 @@ def _bv_literal(width: int, hot: int | None) -> str:
     return "#b" + "".join(bits)
 
 
-def _emit_obligation(gates: Sequence[GateInstance], i: int, m: int) -> str:
-    """SMT-LIB2 text for one well-typed line.  Deterministic, byte-stable."""
-    if not gates:
+def _emit_obligation(line: Line, i: int, m: int) -> str:
+    """SMT-LIB2 text for line i, given as group_gates_by_line gives it.
+    Deterministic, byte-stable."""
+    if line is None:
         raise ValueError(f"line {i} never receives an H gate; it has no bit-vector obligation")
+    orders, controls = line
+    _check_line(m, i, orders, controls)
     sort = f"(_ BitVec {m})"
     out = ["(set-logic QF_BV)"]
     for k in range(1, m + 1):
         out.append(f"(declare-const b{k} Bool)")
     zero = _bv_literal(m, None)
-    step = -1
-    for gate in gates:
-        if gate.kind == "H":
-            term = f"(ite b{gate.target} {_bv_literal(m, 1)} {zero})"
-        else:
-            addend = f"(ite b{gate.control} {_bv_literal(m, gate.n)} {zero})"
-            term = f"(bvadd s{step} {addend})"
-        step += 1
-        out.append(f"(define-fun s{step} () {sort} {term})")
-    out.append(f"(define-fun actual () {sort} s{step})")
+    out.append(f"(define-fun s0 () {sort} (ite b{i} {_bv_literal(m, 1)} {zero}))")
+    for step, (n, k) in enumerate(zip(orders, controls), start=1):
+        out.append(f"(define-fun s{step} () {sort} "
+                   f"(bvadd s{step - 1} (ite b{k} {_bv_literal(m, n)} {zero})))")
+    out.append(f"(define-fun actual () {sort} s{len(orders)})")
     pieces = [f"(ite b{k} #b1 #b0)" for k in range(i, m + 1)]
     if i > 1:
         pieces.append("#b" + "0" * (i - 1))
@@ -147,11 +144,11 @@ def write_obligations(c: CircuitDescription, directory: Path | str) -> list[Path
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, gates in enumerate(group_gates_by_line(c), start=1):
-        if not gates:
+    for i, line in enumerate(group_gates_by_line(c), start=1):
+        if line is None:
             continue
         path = directory / f"q{i}.smt2"
-        path.write_text(_emit_obligation(gates, i, c.m), encoding="utf-8")
+        path.write_text(_emit_obligation(line, i, c.m), encoding="utf-8")
         paths.append(path)
     return paths
 
@@ -229,10 +226,10 @@ def invoke_solver(cfg: SolverConfig, obligation_path: Path | str) -> SolverResul
     return SolverResult("sat", model=model, wall_s=wall)
 
 
-def solve_line(cfg: SolverConfig, gates: Sequence[GateInstance], i: int, m: int) -> SolverResult:
+def solve_line(cfg: SolverConfig, line: Line, i: int, m: int) -> SolverResult:
     """Run the solver on qubit i's obligation for its well-typed line
     (which must have an H), in a temporary directory."""
     with tempfile.TemporaryDirectory(prefix="qftv-smt-") as tmp:
         path = Path(tmp) / f"q{i}.smt2"
-        path.write_text(_emit_obligation(gates, i, m), encoding="utf-8")
+        path.write_text(_emit_obligation(line, i, m), encoding="utf-8")
         return invoke_solver(cfg, path)

@@ -24,6 +24,7 @@ from qftverify.circuit import (
     enumerate_error_specs,
     generate_qft,
     inject_error,
+    qft_line,
 )
 from helpers import all_basis_inputs, bits_as_int, concrete_line_values
 
@@ -36,93 +37,116 @@ def value_of(v: SymbolicBitVector, assignment) -> Fraction:
     return Fraction(bits_as_int(eval_bits(v, assignment)), 2 ** v.width)
 
 
-def H(target):
-    return GateInstance("H", target)
+def interpret(m, i, rotations):
+    """Line i of m: its H, then ``rotations`` as (order, control) pairs."""
+    return _interpret_line(m, i, ([n for n, _ in rotations], [k for _, k in rotations]))
 
 
-def R(target, n, control):
-    return GateInstance("R", target, n=n, control=control)
-
-
-def line_value(m, gates, assignment):
+def line_value(m, i, rotations, assignment):
     """Concrete bits of a line's final bit-vector under an input assignment."""
-    return eval_bits(vec(*_interpret_line(m, gates)), assignment)
+    return eval_bits(vec(*interpret(m, i, rotations)), assignment)
 
 
 class TestAbstractH:
     def test_one_input(self):
-        assert line_value(3, [H(2)], {2: 1}) == (1, 0, 0)
+        assert line_value(3, 2, [], {2: 1}) == (1, 0, 0)
 
     def test_zero_input(self):
-        assert line_value(3, [H(2)], {2: 0}) == (0, 0, 0)
+        assert line_value(3, 2, [], {2: 0}) == (0, 0, 0)
 
     def test_symbolic_input(self):
         # H puts the line's own input at the half-turn bit
-        assert _interpret_line(3, [H(2)]) == [var(2), FALSE, FALSE]
+        assert interpret(3, 2, []) == [var(2), FALSE, FALSE]
+
+    def test_line_without_h(self):
+        assert _interpret_line(3, 2, None) is None
 
 
 class TestAbstractRn:
     def test_concrete_add(self):
         # half turn plus quarter turn
-        assert line_value(3, [H(1), R(1, 2, 2)], {1: 1, 2: 1}) == (1, 1, 0)
+        assert line_value(3, 1, [(2, 2)], {1: 1, 2: 1}) == (1, 1, 0)
 
     def test_control_zero_is_identity(self):
-        with_r3 = [H(1), R(1, 2, 2), R(1, 3, 3)]
+        with_r3 = [(2, 2), (3, 3)]
         for bits in all_basis_inputs(2):
             sigma = {1: bits[0], 2: bits[1], 3: 0}
-            assert line_value(3, with_r3, sigma) == line_value(3, with_r3[:2], sigma)
+            assert line_value(3, 1, with_r3, sigma) == line_value(3, 1, with_r3[:1], sigma)
 
     def test_symbolic_control_fills_bit(self):
-        assert _interpret_line(3, [H(1), R(1, 2, 2), R(1, 3, 3)]) == [var(1), var(2), var(3)]
+        assert interpret(3, 1, [(2, 2), (3, 3)]) == [var(1), var(2), var(3)]
+
+    def test_input_values_come_from_the_row(self):
+        # a row of constants runs the line on one input: b1=1, b2=0, b3=1
+        row = [TRUE, FALSE, TRUE]
+        assert _interpret_line(3, 1, ([2, 3], [2, 3]), values=row) == [TRUE, FALSE, TRUE]
 
     def test_order_finer_than_width_rejected(self):
-        with pytest.raises(ValueError, match="not representable"):
-            _interpret_line(3, [H(1), R(1, 4, 2)])
+        with pytest.raises(ValueError, match="rotation order 4 not representable in 3 bits"):
+            interpret(3, 1, [(2, 2), (4, 3)])
+
+    @pytest.mark.parametrize("rotations,message", [
+        ([(0, 2), (2, 3)], "rotation order 0 not representable in 3 bits"),
+        ([(2, 2), (3, 4)], r"control 4 out of range 1\.\.3"),
+        ([(2, 0), (3, 3)], r"control 0 out of range 1\.\.3"),
+    ], ids=["order-0", "control-above-m", "control-0"])
+    def test_columns_out_of_range_rejected(self, rotations, message):
+        # every order and control is checked before any gate runs, so no
+        # index wraps around to the other end of the bits or of the row
+        with pytest.raises(ValueError, match=message):
+            interpret(3, 1, rotations)
+
+    @pytest.mark.parametrize("i,line,message", [
+        (0, ([], []), r"line 0 out of range 1\.\.3"),
+        (4, ([], []), r"line 4 out of range 1\.\.3"),
+        (1, ([2, 3], [2]), "2 orders but 1 controls"),
+    ], ids=["line-0", "line-above-m", "ragged-columns"])
+    def test_malformed_lines_rejected(self, i, line, message):
+        with pytest.raises(ValueError, match=message):
+            _interpret_line(3, i, line)
 
 
 class TestAddMod:
     def test_concrete_carry(self):
         # 1/8 + 1/8 = 1/4
-        assert line_value(3, [H(1), R(1, 3, 2), R(1, 3, 3)], {1: 0, 2: 1, 3: 1}) == (0, 1, 0)
+        assert line_value(3, 1, [(3, 2), (3, 3)], {1: 0, 2: 1, 3: 1}) == (0, 1, 0)
 
     def test_msb_carry_discarded(self):
-        bits = _interpret_line(3, [H(1), R(1, 1, 2)])
+        bits = interpret(3, 1, [(1, 2)])
         # b1=b2=1 gives 1/2+1/2 = 1 = 0 (mod 1): the carry out of bit 1 is gone
         assert bits == [var(1) ^ var(2), FALSE, FALSE]
 
     def test_carry_into_next_bit(self):
         # two eighth turns make one quarter turn, for either value of b2
-        assert _interpret_line(3, [H(1), R(1, 3, 2), R(1, 3, 2)]) == [var(1), var(2), FALSE]
+        assert interpret(3, 1, [(3, 2), (3, 2)]) == [var(1), var(2), FALSE]
 
     def _random_rotations(self, rng, width, num_controls):
-        """Rotations on line 1 with controls b2..b(num_controls+1)."""
-        return [R(1, rng.randint(1, width), rng.randint(2, num_controls + 1))
+        """(order, control) pairs on line 1 with controls b2..b(num_controls+1)."""
+        return [(rng.randint(1, width), rng.randint(2, num_controls + 1))
                 for _ in range(rng.randint(0, 6))]
 
     def test_commutative_and_associative(self):
         # the order of a line's rotations does not change its function
         rng = random.Random(99)
         for _ in range(40):
-            width = rng.randint(1, 8)
-            rotations = self._random_rotations(rng, width, rng.randint(1, 5))
+            width = rng.randint(2, 8)
+            rotations = self._random_rotations(rng, width, rng.randint(1, min(5, width - 1)))
             shuffled = rotations[:]
             rng.shuffle(shuffled)
-            one = _interpret_line(width, [H(1)] + rotations)
-            other = _interpret_line(width, [H(1)] + shuffled)
-            assert one == other
+            assert interpret(width, 1, rotations) == interpret(width, 1, shuffled)
 
     def test_modulo_law_against_fractions(self):
         rng = random.Random(7)
         for _ in range(40):
-            width = rng.randint(1, 8)
-            nc = rng.randint(1, 5)
+            width = rng.randint(2, 8)
+            nc = rng.randint(1, min(5, width - 1))
             rotations = self._random_rotations(rng, width, nc)
-            out = vec(*_interpret_line(width, [H(1)] + rotations))
+            out = vec(*interpret(width, 1, rotations))
             for bits in all_basis_inputs(nc + 1):
                 sigma = {k + 1: bits[k] for k in range(nc + 1)}
                 expect = Fraction(sigma[1], 2)
-                for g in rotations:
-                    expect += Fraction(sigma[g.control], 2 ** g.n)
+                for n, control in rotations:
+                    expect += Fraction(sigma[control], 2 ** n)
                 assert value_of(out, sigma) == expect % 1
 
 
@@ -140,10 +164,9 @@ class TestTypecheck:
         c = generate_qft(4)
         assert typecheck(c) is None
         assert h_ordinals(c) == [1, 5, 8, 10]
-        # each line's group opens with its own H gate, the one at that ordinal
-        lines = group_gates_by_line(c)
-        assert [line[0] for line in lines] == [c.gates[k - 1] for k in h_ordinals(c)]
-        assert all(line[0].kind == "H" for line in lines)
+        # each line's columns are its rotations, in the closed form
+        assert group_gates_by_line(c) == [qft_line(4, i) for i in range(1, 5)]
+        assert group_gates_by_line(c)[0] == ([2, 3, 4], [2, 3, 4])
 
     def test_missing_h_flags_first_rotation(self):
         mutated = inject_error(generate_qft(3), MissingH(2))
@@ -177,7 +200,7 @@ class TestTypecheck:
         # a bare line is not a type error; the property checker reports it
         c = CircuitDescription(2, (GateInstance("H", 1),))
         assert typecheck(c) is None
-        assert group_gates_by_line(c) == [[GateInstance("H", 1)], []]
+        assert group_gates_by_line(c) == [([], []), None]
 
     def test_grouping_walk_types_like_typecheck(self):
         base = generate_qft(4)
@@ -191,12 +214,13 @@ class TestTypecheck:
                 assert (info.value.kind, info.value.line, info.value.gate_ordinal) \
                     == (exc.kind, exc.line, exc.gate_ordinal)
                 continue
-            for line, (gates, h) in enumerate(zip(group_gates_by_line(c), h_ordinals(c)), 1):
-                assert [g.target for g in gates] == [line] * len(gates)
-                # a typed line is empty exactly when it has no H, which comes first
-                assert (h is None) == (not gates)
-                assert not gates or gates[0] is c.gates[h - 1]
-                assert all(g.kind == ("H" if k == 0 else "R") for k, g in enumerate(gates))
+            for line, (columns, h) in enumerate(zip(group_gates_by_line(c), h_ordinals(c)), 1):
+                # a typed line is None exactly when it has no H, which comes
+                # before all of its rotations
+                assert (h is None) == (columns is None)
+                rotations = [(g.n, g.control) for g in c.gates if g.kind == "R" and g.target == line]
+                assert rotations == ([] if columns is None else list(zip(*columns)))
+                assert all(k > h for k, g in enumerate(c.gates, 1) if g.target == line and g.kind == "R")
 
 
 class TestRunAbstract:

@@ -97,12 +97,19 @@ class TestRunBench:
         assert len(blocks) == 2
 
 
+def stream_specs(m):
+    """The table scenarios and the position sweep's mutations at m."""
+    specs = [(s, scenario_error_spec(s, m)) for s in TABLE_SCENARIOS]
+    return specs + [(f"incorrect-gate@q{k}", IncorrectGateOrder(k, 1, 3)) for k in (1, m // 2, m - 1)]
+
+
 class TestStreaming:
-    @pytest.mark.parametrize("scenario", TABLE_SCENARIOS)
-    def test_streamed_lines_match_grouping(self, scenario):
-        spec = scenario_error_spec(scenario, 9)
-        circuit = generate_qft(9) if spec is None else inject_error(generate_qft(9), spec)
-        assert list(bench._qft_lines(9, spec)) == group_gates_by_line(circuit)
+    @pytest.mark.parametrize("m,spec", [(m, spec) for m in (9, 64) for _, spec in stream_specs(m)],
+                             ids=[label if m == 9 else f"{label}-m{m}"
+                                  for m in (9, 64) for label, _ in stream_specs(m)])
+    def test_streamed_lines_match_grouping(self, m, spec):
+        circuit = generate_qft(m) if spec is None else inject_error(generate_qft(m), spec)
+        assert list(bench._qft_lines(m, spec)) == group_gates_by_line(circuit)
 
     def test_streaming_agrees_with_materialized(self):
         streamed = run_bench(BenchConfig(sizes=[16], scenarios=TABLE_SCENARIOS,

@@ -29,6 +29,7 @@ from qftverify.circuit import (
     generate_qft,
     inject_error,
     qft_gate_count,
+    qft_line_gates,
 )
 from helpers import bits_as_int, concrete_line_values, eval_poly, split_rotation
 
@@ -229,10 +230,9 @@ class TestVerifyLines:
         verdict = report.records[0].verdict
         assert verdict.status == VIOLATION
         sigma = tuple(verdict.counterexample[k] for k in range(1, m + 1))
-        mutated_line = next(_qft_lines(m, spec))
-        correct_line = next(_qft_lines(m, None))
-        actual = concrete_line_values(CircuitDescription(m, tuple(mutated_line)), sigma)[0]
-        expected = concrete_line_values(CircuitDescription(m, tuple(correct_line)), sigma)[0]
+        correct_line = CircuitDescription(m, tuple(qft_line_gates(m, 1)))
+        actual = concrete_line_values(inject_error(correct_line, spec), sigma)[0]
+        expected = concrete_line_values(correct_line, sigma)[0]
         assert bits_as_int(verdict.actual) == actual
         assert bits_as_int(verdict.expected) == expected
         assert actual != expected

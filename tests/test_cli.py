@@ -185,8 +185,17 @@ class TestErrors:
         (["bench", "--position-sweep", "2"], "needs m >= 3, got 2"),
         (["verify", "-i", "{file}", "--timeout", "0"], "--timeout must be a positive"),
         (["verify", "-i", "{file}", "--timeout", "-1"], "--timeout must be a positive"),
+        (["verify", "-i", "{file}", "--solver", "z3"], "--backend anf does not take --solver"),
+        (["verify", "-i", "{file}", "--backend", "anf", "--timeout", "5"],
+         "--backend anf does not take --timeout"),
+        (["bench"], "bench needs --sizes or --position-sweep"),
+        (["bench", "--sizes", ","], "bench needs --sizes or --position-sweep"),
+        (["bench", "--sizes", "8", "--repeats", "0"], "repeats must be at least 1, got 0"),
+        (["bench", "--position-sweep", "8", "--repeats", "-1"], "repeats must be at least 1, got -1"),
     ], ids=["repeated-spec-field", "positions-alone", "sweep-sizes", "sweep-scenarios",
-            "sweep-huge", "sweep-m1", "sweep-m2", "timeout-0", "timeout-negative"])
+            "sweep-huge", "sweep-m1", "sweep-m2", "timeout-0", "timeout-negative",
+            "anf-solver", "anf-timeout", "bench-no-sizes", "bench-empty-sizes", "repeats-0",
+            "sweep-repeats-negative"])
     def test_rejected_arguments_exit_3(self, qft3_file, capsys, argv, message):
         # a flag the command would ignore or cannot honour is a usage error
         assert main([str(qft3_file) if a == "{file}" else a for a in argv]) == 3

@@ -1,0 +1,101 @@
+"""Whole circuits at m = 64..1024, checked against integer phase arithmetic.
+
+Every exhaustive report here is checked by ``perfbench/refcheck.py``, which
+computes each line's phase as integer coefficients of the inputs and never
+imports the package, so a false pass, a false failure or a witness that does
+not separate shows up at sizes the dense oracle cannot reach.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qftverify.checker import CheckerConfig, verify_circuit
+from qftverify.circuit import CircuitDescription, GateInstance, generate_qft
+from helpers import split_rotation
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import refcheck  # noqa: E402
+
+SIZES = (64, 300, 1024)
+
+
+@pytest.fixture(scope="module")
+def canonical():
+    return {m: generate_qft(m) for m in SIZES}
+
+
+def refcheck_problems(c: CircuitDescription) -> list[str]:
+    """Verify ``c`` exhaustively and check the report against refcheck."""
+    report = verify_circuit(c, CheckerConfig(exhaustive=True))
+    gates = [("H", g.target) if g.kind == "H" else ("R", g.target, g.n, g.control)
+             for g in c.gates]
+    records = [(r.verdict.qubit, r.verdict.status, r.verdict.counterexample, r.verdict.expected,
+                r.verdict.actual) for r in report.records]
+    return refcheck.check_report(c.m, gates, report.overall, records)
+
+
+@st.composite
+def rotation_mutants(draw, canonical):
+    """A canonical circuit after one to three rotation mutations: a wrong
+    order (order 1, a neighbour's order, so that two rotations share a
+    position, or any order), a wrong control, or a split into two halves.
+    Returns the circuit and the mutation kinds applied."""
+    c = canonical[draw(st.sampled_from(SIZES))]
+    m = c.m
+    kinds = []
+    for kind in draw(st.lists(st.sampled_from(("order", "control", "split")), min_size=1,
+                              max_size=3)):
+        k = draw(st.integers(0, len(c.gates) - 1))
+        if c.gates[k].kind == "H":
+            # every H but line m's is followed by a rotation on its line
+            k = k + 1 if k + 1 < len(c.gates) and c.gates[k + 1].kind == "R" else k - 1
+        old = c.gates[k]
+        if kind == "split" and old.n == m:
+            kind = "order"  # R(m) has no half in m bits
+        kinds.append(kind)
+        if kind == "split":
+            c = split_rotation(c, k)
+            continue
+        if kind == "control":
+            new = replace(old, control=draw(st.integers(1, m).filter(lambda j: j != old.target)))
+        else:
+            n = draw(st.sampled_from((1, old.n - 1, old.n + 1)) | st.integers(1, m))
+            new = replace(old, n=min(max(n, 1), m))
+        c = CircuitDescription(m, c.gates[:k] + (new,) + c.gates[k + 1:])
+    return c, kinds
+
+
+def test_random_mutants_match_integer_phases(canonical):
+    seen = set()
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(rotation_mutants(canonical))
+    def check(case):
+        c, kinds = case
+        assert refcheck_problems(c) == []
+        seen.add(c.m)
+        seen.update(kinds)
+
+    check()
+    assert seen >= {*SIZES, "order", "control", "split"}
+
+
+def test_split_line_one_still_verifies(canonical):
+    # every line-1 rotation R(n) with n < m becomes two R(n+1): each pair
+    # collides and carries, and the line's phase is unchanged
+    c = canonical[1024]
+    m = c.m
+    line_one = [GateInstance("H", 1)]
+    for g in c.gates[1:m]:
+        halves = [replace(g, n=g.n + 1)] * 2 if g.n < m else [g]
+        line_one += halves
+    split = CircuitDescription(m, (*line_one, *c.gates[m:]))
+    assert split.gate_count == c.gate_count + m - 2
+    assert verify_circuit(split, CheckerConfig(exhaustive=True)).overall == "verified"
