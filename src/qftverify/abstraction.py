@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from itertools import count
 from typing import Mapping, Sequence
 
 from .boolexpr import DEFAULT_TERM_BUDGET, FALSE, AnfBudgetError, and_, evaluate, sorted_monomials, var
@@ -122,10 +123,9 @@ def group_gates_by_line(c: CircuitDescription) -> list[Line]:
     None exactly when it never receives an H.
     """
     lines: list[Line] = [None] * c.m
-    for ordinal, gate in enumerate(c.gates, start=1):
-        line = gate.target
+    for ordinal, line, n, control in zip(count(1), c.targets, c.orders, c.controls):
         columns = lines[line - 1]
-        if gate.kind == "H":
+        if not n:  # an H
             if columns is None:
                 lines[line - 1] = ([], [])
             elif columns[0]:
@@ -145,8 +145,8 @@ def group_gates_by_line(c: CircuitDescription) -> list[Line]:
                 f"(control value on a data port)",
             )
         else:
-            columns[0].append(gate.n)
-            columns[1].append(gate.control)
+            columns[0].append(n)
+            columns[1].append(control)
     return lines
 
 

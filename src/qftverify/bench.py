@@ -25,14 +25,13 @@ from typing import Iterator, Sequence
 from .abstraction import Line, group_gates_by_line
 from .checker import VERIFIED, CheckerConfig, verify_lines
 from .circuit import (
-    CircuitDescription,
     ErrorSpec,
     IncorrectControl,
     IncorrectGateOrder,
+    _qft_circuit,
     inject_error,
     qft_gate_count,
     qft_line,
-    qft_line_gates,
 )
 
 __all__ = [
@@ -113,16 +112,15 @@ def _qft_lines(m: int, spec: ErrorSpec | None) -> Iterator[Line]:
     """The generated circuit with ``spec`` applied, as typed lines, one at a time.
 
     Each line's columns come in closed form (qft_line), so no gate object is
-    built for them.  Gate and control mutations keep every gate on its line
-    and every line well typed, so the mutated line is made by inject_error
-    on that line's gates alone and then grouped.
+    built.  Gate and control mutations keep every gate on its line and every
+    line well typed, so the mutated line is made by inject_error on a
+    circuit of that line's gates alone and then grouped.
     """
     if spec is not None and not isinstance(spec, (IncorrectGateOrder, IncorrectControl)):
         raise ValueError(f"streaming benchmarks support gate and control mutations, not {spec!r}")
     for i in range(1, m + 1):
         if spec is not None and spec.target == i:
-            line = CircuitDescription(m, tuple(qft_line_gates(m, i)))
-            yield group_gates_by_line(inject_error(line, spec))[i - 1]
+            yield group_gates_by_line(inject_error(_qft_circuit(m, (i,)), spec))[i - 1]
         else:
             yield qft_line(m, i)
 

@@ -13,7 +13,8 @@ controls are evaluated on the control line's *initial* value, which for basis
 inputs is a classical bit; this coincides with the two-qubit controlled phase
 whenever the control line has not yet passed its own H (always true in
 canonical circuits) and extends the IR's initial-tap control semantics to
-mutated gate orders.
+mutated gate orders.  numpy is imported by the functions that use it, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .abstraction import eval_bits, run_abstract
 from .circuit import CircuitDescription, generate_qft
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SIM_CAP_DEFAULT",
@@ -43,8 +45,6 @@ __all__ = [
 
 SIM_CAP_DEFAULT = 12
 AMPLITUDE_TOL = 1e-9
-
-_H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
 def _check_cap(m: int, cap: int) -> None:
@@ -66,6 +66,9 @@ def simulate(c: CircuitDescription, input_bits: Sequence[int],
 
     Norm is asserted to stay within 1e-9 of one after every gate.
     """
+    import numpy as np
+
+    h_matrix = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
     m = c.m
     _check_cap(m, cap)
     bits = _check_bits(input_bits, m)
@@ -73,14 +76,14 @@ def simulate(c: CircuitDescription, input_bits: Sequence[int],
     state = np.zeros(2 ** m, dtype=complex)
     state[index] = 1.0
     tensor = state.reshape((2,) * m)
-    for gate in c.gates:
-        axis = gate.target - 1
-        if gate.kind == "H":
-            tensor = np.moveaxis(np.tensordot(_H_MATRIX, tensor, axes=([1], [axis])), 0, axis)
-        elif bits[gate.control - 1]:
+    for target, n, control in zip(c.targets, c.orders, c.controls):
+        axis = target - 1
+        if not n:  # an H
+            tensor = np.moveaxis(np.tensordot(h_matrix, tensor, axes=([1], [axis])), 0, axis)
+        elif bits[control - 1]:
             sel: list = [slice(None)] * m
             sel[axis] = 1
-            tensor[tuple(sel)] *= np.exp(2j * np.pi / (2 ** gate.n))
+            tensor[tuple(sel)] *= np.exp(2j * np.pi / (2 ** n))
         norm_sq = float(np.sum(np.abs(tensor) ** 2))
         if abs(norm_sq - 1.0) > 1e-9:
             raise AssertionError(f"unitarity violated: |state|^2 = {norm_sq}")
@@ -90,6 +93,8 @@ def simulate(c: CircuitDescription, input_bits: Sequence[int],
 def qft_reference(j: int, m: int, cap: int = SIM_CAP_DEFAULT) -> np.ndarray:
     """The transform formula applied directly: amplitude at k is
     exp(2*pi*i*j*k/N)/sqrt(N) with N = 2**m."""
+    import numpy as np
+
     _check_cap(m, cap)
     n_points = 2 ** m
     if not 0 <= j < n_points:
@@ -112,6 +117,8 @@ def per_qubit_phase(input_bits: Sequence[int], i: int) -> Fraction:
 
 def bit_reversed(state: np.ndarray, m: int) -> np.ndarray:
     """Permute amplitudes so index bits read in reverse order."""
+    import numpy as np
+
     return np.ascontiguousarray(
         state.reshape((2,) * m).transpose(tuple(range(m - 1, -1, -1)))
     ).reshape(-1)
@@ -191,6 +198,8 @@ def _per_qubit_deviation(state: np.ndarray, factors: list[np.ndarray], m: int) -
     those against the expected factor localizes a mismatch without any
     global-phase ambiguity.
     """
+    import numpy as np
+
     tensor = state.reshape((2,) * m)
     devs = []
     for i in range(m):
@@ -215,6 +224,8 @@ def cross_check(c: CircuitDescription, cap: int = SIM_CAP_DEFAULT) -> OracleRepo
     circuit must match.  All comparisons are per-amplitude within
     AMPLITUDE_TOL.  Type-incorrect circuits raise CircuitTypeError.
     """
+    import numpy as np
+
     m = c.m
     _check_cap(m, cap)
     outputs = run_abstract(c)

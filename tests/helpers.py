@@ -138,8 +138,8 @@ def split_rotation(c: CircuitDescription, gate_index: int) -> CircuitDescription
     The total rotation is unchanged (2 * 2**-(n+1) == 2**-n of a turn), so
     the result must still verify.
     """
-    old = c.gates[gate_index]
+    gates = c.gates
+    old = gates[gate_index]
     assert old.kind == "R" and old.n + 1 <= c.m
     half = GateInstance("R", old.target, n=old.n + 1, control=old.control)
-    gates = c.gates[:gate_index] + (half, half) + c.gates[gate_index + 1:]
-    return CircuitDescription(c.m, gates)
+    return CircuitDescription(c.m, gates[:gate_index] + (half, half) + gates[gate_index + 1:])

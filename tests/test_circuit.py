@@ -1,11 +1,19 @@
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qftverify
+from qftverify import circuit as circuit_mod
+from qftverify.bench import BenchConfig, run_bench
+from qftverify.checker import verify_circuit
+from qftverify.smt import write_obligations
 from qftverify.circuit import (
     CircuitDescription,
     CircuitError,
@@ -78,6 +86,23 @@ class TestGenerator:
         with pytest.raises(CircuitError):
             generate_qft(0)
 
+    def test_columns(self):
+        # program order; an H is order 0 and control 0
+        c = generate_qft(3)
+        assert c.targets == array("B", [1, 1, 1, 2, 2, 3])
+        assert c.orders == array("B", [0, 2, 3, 0, 2, 0])
+        assert c.controls == array("B", [0, 2, 3, 0, 3, 0])
+        same = parse_circuit(serialize_circuit(c))
+        assert same == c and hash(same) == hash(c)
+        assert c != inject_error(c, IncorrectGateOrder(1, 1, 3))
+
+    @pytest.mark.parametrize("m,typecode", [(1, "B"), (255, "B"), (256, "H"), (65_535, "H"),
+                                            (65_536, "I"), (2 ** 32, "Q"), (2 ** 64 - 1, "Q")])
+    def test_columns_take_the_narrowest_type_that_holds_m(self, m, typecode):
+        c = CircuitDescription(m, (GateInstance("H", m),))
+        assert {c.targets.typecode, c.orders.typecode, c.controls.typecode} == {typecode}
+        assert c.gates == (GateInstance("H", m),)
+
 
 class TestGateValidation:
     def test_h_with_control_rejected(self):
@@ -97,6 +122,29 @@ class TestGateValidation:
             GateInstance("R", 1, n=0, control=2)
         # order 1 (half turn) is legal even though the generator never emits it
         GateInstance("R", 1, n=1, control=2)
+
+    @pytest.mark.parametrize("fields,name", [
+        (dict(kind="R", target=1, n=2.5, control=2), "n"),
+        (dict(kind="R", target=1, n=True, control=2), "n"),
+        (dict(kind="R", target=1, n=2, control=2.0), "control"),
+        (dict(kind="R", target="1", n=2, control=2), "target"),
+        (dict(kind="H", target=1.0), "target"),
+        (dict(kind="H", target=True), "target"),
+    ])
+    def test_non_integer_fields_rejected(self, fields, name):
+        with pytest.raises(CircuitError, match=f"field '{name}' must be an integer"):
+            GateInstance(**fields)
+
+    @pytest.mark.parametrize("m", [2.5, True, "2", None])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(CircuitError, match="m must be an integer"):
+            CircuitDescription(m, (GateInstance("H", 1),))
+
+    def test_m_past_every_column_type_rejected(self):
+        with pytest.raises(CircuitError, match=r"m must be below 2\*\*64"):
+            CircuitDescription(2 ** 64, ())
+        with pytest.raises(CircuitParseError, match=r"m must be below 2\*\*64"):
+            parse_circuit('{"qubits": %d, "gates": [{"kind": "H", "target": 1}]}' % 2 ** 64)
 
     def test_circuit_range_checks(self):
         with pytest.raises(CircuitError, match="m must be >= 1"):
@@ -179,6 +227,17 @@ class TestInjector:
         with pytest.raises(ErrorInjectionError):
             inject_error(generate_qft(3), spec)
 
+    @pytest.mark.parametrize("spec", [
+        IncorrectGateOrder(target=1, ordinal=1, wrong_n=2.5),
+        IncorrectGateOrder(target=1, ordinal=1, wrong_n=True),
+        IncorrectControl(target=1, ordinal=1, wrong_control=2.5),
+        WrongHInput(target=1, wrong_source=2.0),
+        WrongRnDataInput(target=1, ordinal=1, wrong_source=3.0),
+    ])
+    def test_non_integer_values_rejected(self, spec):
+        with pytest.raises(ErrorInjectionError, match="must be an integer"):
+            inject_error(generate_qft(3), spec)
+
     def test_retarget_onto_control_rejected(self):
         # moving the rotation to its own control line would be control == target
         c = generate_qft(3)
@@ -246,10 +305,13 @@ class TestFiles:
             assert parse_circuit(serialize_circuit(c)) == c
 
     def test_round_trip_mutated(self):
-        c = generate_qft(4)
-        for spec in enumerate_error_specs(c):
-            mutated = inject_error(c, spec)
-            assert parse_circuit(serialize_circuit(mutated)) == mutated
+        for m in range(2, 7):
+            c = generate_qft(m)
+            for spec in enumerate_error_specs(c):
+                mutated = inject_error(c, spec)
+                parsed = parse_circuit(serialize_circuit(mutated))
+                assert parsed == mutated
+                assert parsed.gates == mutated.gates
 
     def test_serializer_does_not_validate_semantics(self):
         # two H gates on one line survive a round trip in order
@@ -311,3 +373,116 @@ class TestFiles:
                                  env=env, check=True)
             messages.add(run.stdout.strip())
         assert messages == {"gate 1: field 'n' must be an integer"}
+
+
+# Values a hostile file can hold where a gate field needs an integer.
+NOT_AN_INDEX = (st.booleans() | st.floats(allow_nan=False, allow_infinity=False) | st.none()
+                | st.text(max_size=2) | st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def hostile_gate_lists(draw):
+    """(m, gate entries) as json.loads gives them: mostly gates, each with up
+    to two edits (a key dropped, a key added, a value or the kind replaced),
+    keys in any order, and now and then an entry that is not an object."""
+    m = draw(st.integers(0, 4))
+    index = st.integers(-1, m + 1)
+    entries = []
+    for _ in range(draw(st.integers(0, 5))):
+        fields = {"kind": draw(st.sampled_from(("H", "R"))), "target": draw(index)}
+        if fields["kind"] == "R":
+            fields.update(n=draw(index), control=draw(index))
+        for edit in draw(st.lists(st.sampled_from(("drop", "add", "value", "kind")), max_size=2)):
+            if edit == "drop" and fields:
+                del fields[draw(st.sampled_from(sorted(fields)))]
+            elif edit == "add":
+                fields[draw(st.sampled_from(("n", "control", "target", "x")))] = draw(index | NOT_AN_INDEX)
+            elif edit == "value" and fields:
+                fields[draw(st.sampled_from(sorted(fields)))] = draw(NOT_AN_INDEX | index)
+            elif edit == "kind":
+                fields["kind"] = draw(st.sampled_from(("H", "R", "X", ["H"], None, 1)))
+        entry = dict(draw(st.permutations(list(fields.items()))))
+        if draw(st.integers(0, 19)) == 0:
+            entry = draw(st.sampled_from(([], "H", 1, None)))
+        entries.append(entry)
+    return m, entries
+
+
+def outcome(parse):
+    """What a parse gives: ("circuit", circuit, its gates) or ("error", message)."""
+    try:
+        c = parse()
+    except CircuitError as exc:
+        return ("error", str(exc))
+    return ("circuit", c, None if c is None else c.gates)
+
+
+class TestColumnParse:
+    def test_column_checks_agree_with_the_gate_walk(self):
+        # the whole-column checks accept exactly the files the gate-by-gate
+        # walk accepts, and parse_circuit raises the walk's message
+        seen = set()
+
+        @settings(max_examples=600, deadline=None, derandomize=True)
+        @given(hostile_gate_lists())
+        def check(case):
+            m, entries = case
+            walked = outcome(lambda: circuit_mod._parse_gates(m, entries))
+            columns = outcome(lambda: circuit_mod._parse_columns(m, entries))
+            if columns[:2] == ("circuit", None):
+                assert walked[0] == "error"
+            else:
+                assert columns == walked
+            text = json.dumps({"qubits": m, "gates": entries})
+            assert outcome(lambda: parse_circuit(text)) == walked
+            if walked[0] == "error":
+                with pytest.raises(CircuitParseError):
+                    parse_circuit(text)
+            seen.add(walked[0])
+            seen.add("columns rejected" if columns[:2] == ("circuit", None) else "columns decided")
+
+        check()
+        assert seen == {"circuit", "error", "columns rejected", "columns decided"}
+
+
+class TestCompactColumns:
+    # Traced bytes per single-error mutant of generate_qft(16) at the last
+    # commit with a gate tuple per circuit, measured the same way.
+    GATE_TUPLE_BYTES_PER_MUTANT = 1248
+
+    def test_mutants_hold_no_more_than_gate_tuples_and_no_gates(self):
+        base = generate_qft(16)
+        specs = list(enumerate_error_specs(base))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            circuits = [inject_error(base, spec) for spec in specs]
+            held = tracemalloc.get_traced_memory()[0] - start
+            for c in circuits:
+                assert len(c.gates) == c.gate_count  # built, then dropped
+            after_views = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(circuits) == 5432
+        assert held / len(circuits) <= self.GATE_TUPLE_BYTES_PER_MUTANT
+        # a cached view would keep 136 gates per circuit, megabytes in all
+        assert after_views - held < 4096
+
+    def test_no_path_builds_a_gate(self, monkeypatch, tmp_path):
+        def refuse(gate):
+            raise AssertionError(f"built a gate object: {gate.kind} on {gate.target}")
+
+        m = 8
+        canonical = serialize_circuit(generate_qft(m))
+        text = serialize_circuit(inject_error(generate_qft(m), IncorrectGateOrder(2, 1, 5)))
+        monkeypatch.setattr(GateInstance, "__post_init__", refuse)
+        assert verify_circuit(parse_circuit(text)).overall == "violation"
+        assert serialize_circuit(generate_qft(m)) == canonical
+        base = generate_qft(m)
+        mutants = [inject_error(base, spec) for spec in enumerate_error_specs(base)]
+        assert {verify_circuit(c).overall for c in mutants} == {"violation", "type_error"}
+        assert len(write_obligations(base, tmp_path)) == m
+        result = run_bench(BenchConfig(sizes=[m], scenarios=["gate-2"], measure_memory=False))
+        assert result.records[0].verdict == "violation"
+        with pytest.raises(AssertionError, match="built a gate object"):
+            GateInstance("H", 1)

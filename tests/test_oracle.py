@@ -1,11 +1,16 @@
 import collections
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qftverify
 from qftverify.abstraction import CircuitTypeError, eval_bits
 from qftverify.checker import CheckerConfig, target_vector, verify_circuit
 from qftverify.circuit import (
@@ -199,3 +204,16 @@ class TestDifferential:
         # self-cancelling pairs (verified without a split) and splits both occur
         assert seen["verified", False] and seen["verified", True]
         assert seen["violation", False] + seen["violation", True] and seen["type_error"]
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # numpy is the oracle's alone, and it is imported on the oracle's first use
+    code = (
+        "import sys\n"
+        "import qftverify, qftverify.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by import'\n"
+        "assert qftverify.cross_check(qftverify.generate_qft(3)).ok\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = str(Path(qftverify.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from qftverify.checker import CheckerConfig, verify_circuit
 from qftverify.circuit import CircuitDescription, GateInstance, generate_qft
-from helpers import split_rotation
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -34,8 +33,8 @@ def canonical():
 def refcheck_problems(c: CircuitDescription) -> list[str]:
     """Verify ``c`` exhaustively and check the report against refcheck."""
     report = verify_circuit(c, CheckerConfig(exhaustive=True))
-    gates = [("H", g.target) if g.kind == "H" else ("R", g.target, g.n, g.control)
-             for g in c.gates]
+    gates = [("R", target, n, control) if n else ("H", target)
+             for target, n, control in zip(c.targets, c.orders, c.controls)]
     records = [(r.verdict.qubit, r.verdict.status, r.verdict.counterexample, r.verdict.expected,
                 r.verdict.actual) for r in report.records]
     return refcheck.check_report(c.m, gates, report.overall, records)
@@ -46,30 +45,31 @@ def rotation_mutants(draw, canonical):
     """A canonical circuit after one to three rotation mutations: a wrong
     order (order 1, a neighbour's order, so that two rotations share a
     position, or any order), a wrong control, or a split into two halves.
-    Returns the circuit and the mutation kinds applied."""
+    Each mutation edits the circuit's integer columns, which hold an H as
+    order 0.  Returns the circuit and the mutation kinds applied."""
     c = canonical[draw(st.sampled_from(SIZES))]
     m = c.m
+    columns = targets, orders, controls = c.targets.tolist(), c.orders.tolist(), c.controls.tolist()
     kinds = []
     for kind in draw(st.lists(st.sampled_from(("order", "control", "split")), min_size=1,
                               max_size=3)):
-        k = draw(st.integers(0, len(c.gates) - 1))
-        if c.gates[k].kind == "H":
+        k = draw(st.integers(0, len(targets) - 1))
+        if not orders[k]:
             # every H but line m's is followed by a rotation on its line
-            k = k + 1 if k + 1 < len(c.gates) and c.gates[k + 1].kind == "R" else k - 1
-        old = c.gates[k]
-        if kind == "split" and old.n == m:
+            k = k + 1 if k + 1 < len(targets) and orders[k + 1] else k - 1
+        if kind == "split" and orders[k] == m:
             kind = "order"  # R(m) has no half in m bits
         kinds.append(kind)
         if kind == "split":
-            c = split_rotation(c, k)
-            continue
-        if kind == "control":
-            new = replace(old, control=draw(st.integers(1, m).filter(lambda j: j != old.target)))
+            for column in columns:
+                column.insert(k, column[k])
+            orders[k] = orders[k + 1] = orders[k] + 1
+        elif kind == "control":
+            controls[k] = draw(st.integers(1, m).filter(lambda j: j != targets[k]))
         else:
-            n = draw(st.sampled_from((1, old.n - 1, old.n + 1)) | st.integers(1, m))
-            new = replace(old, n=min(max(n, 1), m))
-        c = CircuitDescription(m, c.gates[:k] + (new,) + c.gates[k + 1:])
-    return c, kinds
+            n = draw(st.sampled_from((1, orders[k] - 1, orders[k] + 1)) | st.integers(1, m))
+            orders[k] = min(max(n, 1), m)
+    return CircuitDescription._from_columns(m, *columns), kinds
 
 
 def test_random_mutants_match_integer_phases(canonical):
@@ -92,10 +92,11 @@ def test_split_line_one_still_verifies(canonical):
     # collides and carries, and the line's phase is unchanged
     c = canonical[1024]
     m = c.m
+    gates = c.gates
     line_one = [GateInstance("H", 1)]
-    for g in c.gates[1:m]:
+    for g in gates[1:m]:
         halves = [replace(g, n=g.n + 1)] * 2 if g.n < m else [g]
         line_one += halves
-    split = CircuitDescription(m, (*line_one, *c.gates[m:]))
+    split = CircuitDescription(m, (*line_one, *gates[m:]))
     assert split.gate_count == c.gate_count + m - 2
     assert verify_circuit(split, CheckerConfig(exhaustive=True)).overall == "verified"
