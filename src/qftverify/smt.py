@@ -7,6 +7,13 @@ width addition for the modular accumulate), and the file asserts that output
 and target differ.  ``unsat`` therefore means the qubit is correct, and a
 ``sat`` model is a counterexample assignment.
 
+Each addend is a one-hot written as a binary ``concat`` of indexed zeros and
+``#b1``, as in ``(concat (_ bv0 n-1) (concat #b1 (_ bv0 m-n)))``, so a gate
+costs O(log m) text and an obligation O(gates * log m): q1 at m = 10,000 is
+about 1.8 MB, where m-character ``#b`` literals would take about 220 MB.
+The declarations and one-hots of one width are built once and shared by
+every qubit's file.
+
 Solvers are driven strictly as child processes; nothing links against a
 solver library.  The command comes from configuration, with the QFTV_SOLVER
 environment variable taking precedence.
@@ -14,6 +21,7 @@ environment variable taking precedence.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import shlex
@@ -89,12 +97,19 @@ def solver_from_env(default_command: str | None = None) -> SolverConfig | None:
     return SolverConfig(command=command)
 
 
-def _bv_literal(width: int, hot: int | None) -> str:
-    """Binary bit-vector literal with bit ``hot`` (1-based from the left) set."""
-    bits = ["0"] * width
-    if hot is not None:
-        bits[hot - 1] = "1"
-    return "#b" + "".join(bits)
+@functools.lru_cache(maxsize=1)
+def _shared_text(m: int) -> tuple[str, str, tuple[str, ...]]:
+    """What every obligation of width m shares: the logic and b1..bm
+    declarations, the zero term, and entry n-1 the one-hot with only bit n
+    (1-based from the left) set."""
+    header = "\n".join(["(set-logic QF_BV)",
+                        *(f"(declare-const b{k} Bool)" for k in range(1, m + 1))])
+    hots = []
+    for n in range(1, m + 1):
+        # SMT-LIB's concat is binary: (_ bv0 n-1), then #b1 and (_ bv0 m-n)
+        hot = "#b1" if n == m else f"(concat #b1 (_ bv0 {m - n}))"
+        hots.append(hot if n == 1 else f"(concat (_ bv0 {n - 1}) {hot})")
+    return header, f"(_ bv0 {m})", tuple(hots)
 
 
 def _emit_obligation(line: Line, i: int, m: int) -> str:
@@ -104,22 +119,18 @@ def _emit_obligation(line: Line, i: int, m: int) -> str:
         raise ValueError(f"line {i} never receives an H gate; it has no bit-vector obligation")
     orders, controls = line
     _check_line(m, i, orders, controls)
+    header, zero, hots = _shared_text(m)
     sort = f"(_ BitVec {m})"
-    out = ["(set-logic QF_BV)"]
-    for k in range(1, m + 1):
-        out.append(f"(declare-const b{k} Bool)")
-    zero = _bv_literal(m, None)
-    out.append(f"(define-fun s0 () {sort} (ite b{i} {_bv_literal(m, 1)} {zero}))")
+    out = [header, f"(define-fun s0 () {sort} (ite b{i} {hots[0]} {zero}))"]
     for step, (n, k) in enumerate(zip(orders, controls), start=1):
         out.append(f"(define-fun s{step} () {sort} "
-                   f"(bvadd s{step - 1} (ite b{k} {_bv_literal(m, n)} {zero})))")
+                   f"(bvadd s{step - 1} (ite b{k} {hots[n - 1]} {zero})))")
     out.append(f"(define-fun actual () {sort} s{len(orders)})")
+    # left-nested binary concats, written in one pass
     pieces = [f"(ite b{k} #b1 #b0)" for k in range(i, m + 1)]
     if i > 1:
-        pieces.append("#b" + "0" * (i - 1))
-    target = pieces[0]
-    for piece in pieces[1:]:
-        target = f"(concat {target} {piece})"
+        pieces.append(f"(_ bv0 {i - 1})")
+    target = "(concat " * (len(pieces) - 1) + pieces[0] + "".join(f" {p})" for p in pieces[1:])
     out.append(f"(define-fun target () {sort} {target})")
     out.append("(assert (not (= actual target)))")
     out.append("(check-sat)")

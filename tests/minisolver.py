@@ -3,9 +3,10 @@
 
 Stands in for an external bit-vector solver in tests: parses the SMT-LIB2
 subset the bridge emits (Boolean constants, define-fun chains over ite,
-bvadd, concat, =, not, and binary bit-vector literals), enumerates all input
-assignments, and prints sat/unsat plus a model in the conventional
-define-fun format.  Deliberately independent of the package under test.
+bvadd, concat, =, not, binary bit-vector literals and indexed constants
+``(_ bvN w)``), enumerates all input assignments, and prints sat/unsat plus a
+model in the conventional define-fun format.  Deliberately independent of the
+package under test; tests may call ``solve`` in-process.
 
 Usage: minisolver.py FILE
 """
@@ -60,6 +61,9 @@ def evaluate(term, env):
             return BitVec(int(term[2:], 2), len(term) - 2)
         return env[term]
     head = term[0]
+    if head == "_" and term[1].startswith("bv"):
+        width = int(term[2])
+        return BitVec(int(term[1][2:]) % (1 << width), width)
     if head == "ite":
         return evaluate(term[2], env) if evaluate(term[1], env) else evaluate(term[3], env)
     if head == "bvadd":
@@ -84,11 +88,10 @@ def evaluate(term, env):
     raise SystemExit(f"minisolver: unsupported operator {head!r}")
 
 
-def main() -> int:
-    if len(sys.argv) != 2:
-        print("usage: minisolver.py FILE", file=sys.stderr)
-        return 2
-    forms = parse_all(tokenize(open(sys.argv[1], encoding="utf-8").read()))
+def solve(text: str) -> str:
+    """The verdict on one obligation, "sat" followed by a model when one is
+    asked for, as printed (without the final newline)."""
+    forms = parse_all(tokenize(text))
     bools: list[str] = []
     defs: list[tuple[str, list]] = []
     asserts: list = []
@@ -112,21 +115,28 @@ def main() -> int:
         else:
             raise SystemExit(f"minisolver: unsupported command {head!r}")
     if len(bools) > ENUM_CAP:
-        print("unknown")
-        return 0
+        return "unknown"
     for mask in range(1 << len(bools)):
         env = {name: bool((mask >> k) & 1) for k, name in enumerate(bools)}
         for name, body in defs:
             env[name] = evaluate(body, env)
         if all(evaluate(a, env) for a in asserts):
-            print("sat")
+            out = ["sat"]
             if want_model:
-                print("(")
+                out.append("(")
                 for name in bools:
-                    print(f"  (define-fun {name} () Bool {'true' if env[name] else 'false'})")
-                print(")")
-            return 0
-    print("unsat")
+                    out.append(f"  (define-fun {name} () Bool {'true' if env[name] else 'false'})")
+                out.append(")")
+            return "\n".join(out)
+    return "unsat"
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print("usage: minisolver.py FILE", file=sys.stderr)
+        return 2
+    with open(sys.argv[1], encoding="utf-8") as handle:
+        print(solve(handle.read()))
     return 0
 
 

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from qftverify.abstraction import CircuitTypeError, eval_bits, run_abstract
+from qftverify.abstraction import CircuitTypeError, eval_bits, group_gates_by_line, run_abstract
 from qftverify.checker import (
     CheckerConfig,
+    TYPE_ERROR,
     UNRESOLVED,
     VIOLATION,
     target_vector,
@@ -33,6 +34,7 @@ from qftverify.smt import (
     write_obligations,
 )
 
+import minisolver
 from helpers import bits_as_int, concrete_line_values
 
 MINISOLVER = Path(__file__).parent / "minisolver.py"
@@ -47,9 +49,9 @@ GOLDEN_Q3_OF_3 = """\
 (declare-const b1 Bool)
 (declare-const b2 Bool)
 (declare-const b3 Bool)
-(define-fun s0 () (_ BitVec 3) (ite b3 #b100 #b000))
+(define-fun s0 () (_ BitVec 3) (ite b3 (concat #b1 (_ bv0 2)) (_ bv0 3)))
 (define-fun actual () (_ BitVec 3) s0)
-(define-fun target () (_ BitVec 3) (concat (ite b3 #b1 #b0) #b00))
+(define-fun target () (_ BitVec 3) (concat (ite b3 #b1 #b0) (_ bv0 2)))
 (assert (not (= actual target)))
 (check-sat)
 (get-model)
@@ -60,9 +62,9 @@ GOLDEN_Q1_OF_3 = """\
 (declare-const b1 Bool)
 (declare-const b2 Bool)
 (declare-const b3 Bool)
-(define-fun s0 () (_ BitVec 3) (ite b1 #b100 #b000))
-(define-fun s1 () (_ BitVec 3) (bvadd s0 (ite b2 #b010 #b000)))
-(define-fun s2 () (_ BitVec 3) (bvadd s1 (ite b3 #b001 #b000)))
+(define-fun s0 () (_ BitVec 3) (ite b1 (concat #b1 (_ bv0 2)) (_ bv0 3)))
+(define-fun s1 () (_ BitVec 3) (bvadd s0 (ite b2 (concat (_ bv0 1) (concat #b1 (_ bv0 1))) (_ bv0 3))))
+(define-fun s2 () (_ BitVec 3) (bvadd s1 (ite b3 (concat (_ bv0 2) #b1) (_ bv0 3))))
 (define-fun actual () (_ BitVec 3) s2)
 (define-fun target () (_ BitVec 3) (concat (concat (ite b1 #b1 #b0) (ite b2 #b1 #b0)) (ite b3 #b1 #b0)))
 (assert (not (= actual target)))
@@ -86,6 +88,19 @@ class TestEmission:
         text = emit_smt2(generate_qft(1), 1)
         assert "(declare-const b1 Bool)" in text
         assert "(_ BitVec 1)" in text
+        assert "(ite b1 #b1 (_ bv0 1))" in text
+
+    def test_q1_at_1024_is_small_and_strict(self):
+        # O(log m) text per gate: with m-character literals q1 was 2.22 MB
+        text = emit_smt2(generate_qft(1024), 1)
+        assert len(text.encode()) < 200_000
+        assert strict_form_problems(text) == []
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_every_obligation_is_strict(self, m):
+        c = generate_qft(m)
+        for i in range(1, m + 1):
+            assert strict_form_problems(emit_smt2(c, i)) == [], f"q{i} of {m}"
 
     def test_type_incorrect_circuit_rejected(self):
         with pytest.raises(CircuitTypeError):
@@ -99,6 +114,30 @@ class TestEmission:
         paths = write_obligations(generate_qft(3), tmp_path)
         assert [p.name for p in paths] == ["q1.smt2", "q2.smt2", "q3.smt2"]
         assert paths[0].read_text() == GOLDEN_Q1_OF_3
+
+
+def strict_form_problems(text: str) -> list[str]:
+    """Where an obligation leaves strict SMT-LIB form: a concat without
+    exactly two arguments, a #b literal wider than one bit, or a zero-width
+    indexed constant.  Read from the minisolver's tokens with a stack, since
+    a target term nests m deep."""
+    problems, stack = [], []
+    for tok in minisolver.tokenize(text):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            form = stack.pop()
+            if form[:1] == ["concat"] and len(form) != 3:
+                problems.append(f"concat with {len(form) - 1} arguments")
+            if form[:1] == ["_"] and form[1].startswith("bv") and form[2] == "0":
+                problems.append(f"zero-width (_ {form[1]} 0)")
+            if stack:
+                stack[-1].append("(...)")
+        else:
+            if tok.startswith("#b") and len(tok) != 3:
+                problems.append(f"{len(tok) - 2}-bit literal")
+            stack[-1].append(tok)
+    return problems
 
 
 class TestParseModel:
@@ -275,6 +314,37 @@ class TestMinisolverEndToEnd:
         report = verify_circuit(generate_qft(2), cfg)
         assert report.overall == UNRESOLVED
         assert "timeout" in report.records[0].verdict.detail
+
+
+class TestMinisolverDifferential:
+    """Every single-error mutant through the SMT text, decided in-process by
+    the minisolver, against the default backend."""
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_sat_exactly_on_violations_with_separating_models(self, m):
+        base = generate_qft(m)
+        obligations = sats = 0
+        for c in [base] + [inject_error(base, s) for s in enumerate_error_specs(base)]:
+            report = verify_circuit(c, CheckerConfig(exhaustive=True))
+            if report.overall == TYPE_ERROR:
+                with pytest.raises(CircuitTypeError):
+                    emit_smt2(c, 1)
+                continue
+            for rec, line in zip(report.records, group_gates_by_line(c), strict=True):
+                if line is None:
+                    continue
+                i = rec.verdict.qubit
+                answer = minisolver.solve(emit_smt2(c, i))
+                obligations += 1
+                assert answer.split()[0] == ("sat" if rec.verdict.status == VIOLATION
+                                             else "unsat"), (c, i)
+                if answer.startswith("sat"):
+                    sats += 1
+                    sigma = parse_model(answer, m).values
+                    bits = tuple(sigma[k] for k in range(1, m + 1))
+                    expected = bits_as_int(bits[i - 1:]) << (i - 1)
+                    assert concrete_line_values(c, bits)[i - 1] != expected, (c, i, sigma)
+        assert sats > 0 and obligations > sats
 
 
 def test_smt_does_not_import_checker():
