@@ -5,8 +5,9 @@ free Boolean reasoning: on basis inputs every gate acts as a rotation by a
 negative power of two of a full turn, so each qubit's final state abstracts
 to a width-m fractional bit-vector of symbolic bits.  A circuit is correct
 exactly when qubit i's vector equals <.b(i) b(i+1) .. b(m) 0..0>, which is
-decided per qubit either structurally (canonical algebraic normal form) or
-by an external bit-vector solver.  A dense statevector oracle cross-checks
+decided per qubit either structurally (the phase is linear in the inputs,
+so each input's weight is compared with its target) or by an external
+bit-vector solver.  A dense statevector oracle cross-checks
 the abstraction at small sizes.
 """
 

@@ -1,11 +1,11 @@
-"""Typed rotation semantics: wire typing and the symbolic abstract interpreter.
+"""Typed rotation semantics: wire typing and the per-control weights of a line.
 
 On basis inputs every gate in these circuits acts as a rotation by a negative
 power of two of a full turn, so a qubit's state abstracts to a width-m
 *fractional bit-vector*: bit p (1-based, bit 1 most significant) has weight
 2**-p, and the vector <.x1..xm> denotes the fraction of a full rotation
 accumulated on the line.  Bits are Boolean functions of the circuit's input
-variables b1..bm, each held as its algebraic normal form (see boolexpr).
+variables b1..bm.
 
 Wire typing: a line starts as Control (its initial Boolean value) and becomes
 Data (a fractional bit-vector) at its unique H gate.  An H gate consumes a
@@ -13,12 +13,21 @@ Control and produces the one-bit-set vector conditioned on its input; a
 rotation of order n adds, modulo 1, a one-hot vector at position n ANDed with
 its control's initial value.  Violations of this discipline are the type
 errors that expose structural circuit defects.
+
+Controls tap initial values, so line i's phase is linear in the inputs:
+sum_k b_k * c_k mod 1, where the weight c_k is 2**-1 from the H when k = i
+plus 2**-n for each R(n) that k controls.  _line_weights folds a line into
+these weights, and the checker decides it by comparing each weight with its
+target.  The polynomial interpreter (_interpret_line, run_abstract,
+eval_bits) and typecheck stay only because the benchmark's layer probes
+import them; no verdict path uses them.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 from typing import Mapping, Sequence
@@ -181,6 +190,48 @@ def _check_line(m: int, i: int, orders: Sequence[int], controls: Sequence[int]) 
     low, high = min(controls), max(controls)
     if high > m or low < 1:
         raise ValueError(f"control {high if high > m else low} out of range 1..{m}")
+
+
+def _fold(orders: Sequence[int]) -> list[int]:
+    """The orders n whose bit is set in the sum of 2**-n over ``orders``,
+    modulo 1, least significant first.
+
+    Counts of one order carry to the next coarser order, two for one, and
+    the carry out of order 1 is the modulo-one wrap: it is dropped.  Between
+    two orders present the carry halves at each step, so the work is
+    O(len(orders)), whatever the width.
+    """
+    counts = Counter(orders)
+    bits: list[int] = []
+    carry = p = 0  # carry units of 2**-p wait at order p
+    for n in sorted(counts, reverse=True):
+        while carry and p > n:
+            if carry & 1:
+                bits.append(p)
+            carry >>= 1
+            p -= 1
+        carry += counts[n]
+        p = n
+    while carry and p:
+        if carry & 1:
+            bits.append(p)
+        carry >>= 1
+        p -= 1
+    return bits
+
+
+def _line_weights(m: int, i: int, orders: Sequence[int],
+                  controls: Sequence[int]) -> dict[int, list[int]]:
+    """Line i's per-control weights: c_k as the orders of its set bits (see
+    _fold), for every k that the H or a rotation on the line taps.  Every
+    other weight is zero.  Raises ValueError for a line that _check_line
+    rejects.
+    """
+    _check_line(m, i, orders, controls)
+    taps: dict[int, list[int]] = {i: [1]}  # the H loads b_i at 2**-1
+    for k, n in zip(controls, orders):
+        taps.setdefault(k, []).append(n)
+    return {k: ns if len(ns) == 1 else _fold(ns) for k, ns in taps.items()}
 
 
 def _interpret_line(m: int, i: int, line: Line, budget: int = DEFAULT_TERM_BUDGET,

@@ -2,10 +2,14 @@
 
 Reported time follows the independent-per-qubit methodology: a correct
 circuit records its worst-case qubit time, an erroneous circuit records the
-time of the first qubit that produced a counterexample.  Memory is the peak
-of Python allocations during one untimed verification pass (timed passes run
-without instrumentation so the numbers stay clean); it is approximate by
-nature and recorded as such.
+time of the first qubit that produced a counterexample.  Over repeats, each
+qubit's time is its best run, so a pause of the host has to hit the same
+qubit in every round to show.  Timed runs have the cyclic garbage collector
+off, as timeit does: when its pauses fall depends on everything else the
+process holds, and the same allocations in every round can put one on the
+same qubit each time.  Memory is the peak of Python allocations during one
+untimed verification pass (timed passes run without instrumentation so the
+numbers stay clean); it is approximate by nature and recorded as such.
 
 Sizes above the desk-scale cap are skipped unless explicitly allowed, and a
 skip is marked in the results rather than silently dropped.  Every size is
@@ -17,6 +21,7 @@ circuit nor a gate object of an unmutated line is ever built.
 from __future__ import annotations
 
 import csv
+import gc
 import tracemalloc
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -134,32 +139,44 @@ def _peak_mb(m: int, spec: ErrorSpec | None) -> float:
     return round(peak / (1024.0 * 1024.0), 3)
 
 
-def _measure(m: int, spec: ErrorSpec | None, label: str) -> BenchRecord:
-    """One timed verification, recorded by the rules in the module docstring."""
+def _measure(m: int, spec: ErrorSpec | None, label: str) -> tuple[BenchRecord, list[float]]:
+    """One timed verification: its record, without a time yet, and the
+    qubit times in seconds that the rules in the module docstring count:
+    every qubit's for a correct circuit, the first failing qubit's otherwise."""
     report = verify_lines(m, qft_gate_count(m), _qft_lines(m, spec), CheckerConfig())
     failing = [rec for rec in report.records if rec.verdict.status != VERIFIED]
-    rec = failing[0] if failing else max(report.records, key=lambda r: r.millis)
-    return BenchRecord(qubits=m, gates=qft_gate_count(m), scenario=label, verdict=report.overall,
-                       backend=rec.backend, time_s=rec.millis / 1000.0, mem_mb=0.0)
+    counted = failing[:1] or report.records
+    record = BenchRecord(qubits=m, gates=qft_gate_count(m), scenario=label, verdict=report.overall,
+                         backend=counted[0].backend, time_s=0.0, mem_mb=0.0)
+    return record, [rec.millis / 1000.0 for rec in counted]
 
 
 def _sweep(m: int, rows: Sequence[tuple[str, ErrorSpec | None]], repeats: int,
            measure_memory: bool) -> list[BenchRecord]:
     """One record per ``(label, spec)`` row: each row's memory pass, then
-    ``repeats`` timed rounds over all the rows, and each row's fastest run."""
+    ``repeats`` timed rounds over all the rows.  A row's time is the worst
+    of its counted qubits' best times over the rounds."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     mems = [_peak_mb(m, spec) if measure_memory else 0.0 for _, spec in rows]
-    rounds = [[_measure(m, spec, label) for label, spec in rows] for _ in range(repeats)]
-    return [replace(min(runs, key=lambda r: r.time_s), mem_mb=mem_mb)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rounds = [[_measure(m, spec, label) for label, spec in rows] for _ in range(repeats)]
+    finally:
+        if enabled:
+            gc.enable()
+    return [replace(runs[0][0], time_s=max(map(min, zip(*(times for _, times in runs)))),
+                    mem_mb=mem_mb)
             for runs, mem_mb in zip(zip(*rounds), mems)]
 
 
 def run_bench(cfg: BenchConfig) -> BenchResult:
     """Run the sweep described by ``cfg``; sizes beyond the cap are skipped
-    (with a marker) unless huge sizes are explicitly allowed.  Each record is
-    the best of ``cfg.repeats`` timed verifications, taken round-robin over
-    one size's scenarios.  Every scenario is checked before anything is timed."""
+    (with a marker) unless huge sizes are explicitly allowed.  Each record
+    takes every qubit's best of ``cfg.repeats`` timed verifications, run
+    round-robin over one size's scenarios.  Every scenario is checked before
+    anything is timed."""
     result = BenchResult()
     tables = []
     for m in cfg.sizes:

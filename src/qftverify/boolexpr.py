@@ -12,8 +12,11 @@ monomial is ``0`` and a product of monomials is their ``|``; a polynomial is
 a ``frozenset`` of monomials, so the XOR of two polynomials is their ``^``
 and the empty set is 0.  :func:`sorted_monomials` is the one decoder back to
 variable indices.  Products carry a term budget so that a pathological line
-fails fast with :class:`AnfBudgetError` instead of consuming the machine;
-callers may then fall back to an external solver.
+fails fast with :class:`AnfBudgetError` instead of consuming the machine.
+
+No verdict path uses this module any more: the checker decides a line by
+its per-control weights (see abstraction).  It stays only because the
+benchmark's layer probes import it, through the polynomial interpreter.
 """
 
 from __future__ import annotations

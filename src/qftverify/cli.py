@@ -74,12 +74,12 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"--backend anf does not take {', '.join(ignored)}")
     circuit = _read_circuit(args.input)
     solver = None
-    if args.backend in ("smt", "auto"):
+    if args.backend == "smt":
         solver = smt_mod.solver_from_env(args.solver)
-        if solver is None and args.backend == "smt":
+        if solver is None:
             print("error: no usable solver; set QFTV_SOLVER or pass --solver", file=sys.stderr)
             return EXIT_SOLVER
-        if solver is not None and args.timeout is not None:
+        if args.timeout is not None:
             solver = smt_mod.SolverConfig(command=solver.command, timeout_s=args.timeout)
     cfg = CheckerConfig(backend=args.backend, exhaustive=args.exhaustive, solver=solver)
     report = verify_circuit(circuit, cfg)
@@ -212,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the correctness property per qubit")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--backend", choices=("anf", "smt", "auto"), default="anf")
+    p.add_argument("--backend", choices=("anf", "smt"), default="anf")
     p.add_argument("--exhaustive", action="store_true",
                    help="check every qubit instead of stopping at the first failure")
     p.add_argument("--json", action="store_true")
     p.add_argument("--solver", default=None,
-                   help="solver command (overridden by QFTV_SOLVER); used by smt/auto backends")
+                   help="solver command (overridden by QFTV_SOLVER); used by the smt backend")
     p.add_argument("--timeout", type=float, default=None, help="per-obligation solver timeout (s)")
     p.set_defaults(func=_cmd_verify)
 

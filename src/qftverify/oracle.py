@@ -2,10 +2,11 @@
 
 This is the independent Hilbert-space oracle: it executes circuits on basis
 inputs with concrete gate unitaries and cross-validates the rotation
-abstraction against (a) the per-qubit phases the abstraction predicts and
-(b) the textbook transform formula.  The simulation shares no code with the
-symbolic path beyond the circuit IR; cross_check calls run_abstract and
-eval_bits only because they are what it checks.
+abstraction against (a) the per-qubit phases predicted by the per-control
+weights the checker decides with and (b) the textbook transform formula.
+The simulation shares no code with the checker beyond the circuit IR;
+cross_check calls group_gates_by_line and _line_weights only because they
+are what it checks.
 
 Basis state indexing puts qubit 1 in the most significant position: input
 bits (b1, .., bm) prepare the state with index sum(b_i * 2**(m-i)).  Rotation
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .abstraction import eval_bits, run_abstract
+from .abstraction import _line_weights, group_gates_by_line
 from .circuit import CircuitDescription, generate_qft
 
 if TYPE_CHECKING:
@@ -217,31 +218,32 @@ def cross_check(c: CircuitDescription, cap: int = SIM_CAP_DEFAULT) -> OracleRepo
     """Validate the abstraction against dense simulation on every basis input.
 
     For each input: (a) the simulated state must equal the product of
-    per-qubit factors (|0> + exp(2*pi*i*phase)|1>)/sqrt(2) with each phase
-    evaluated from the abstract outputs (a line that stays Control
-    contributes its basis factor instead); and (b) the simulated state is
-    compared against the bit-reversed transform formula, which a correct
-    circuit must match.  All comparisons are per-amplitude within
+    per-qubit factors (|0> + exp(2*pi*i*phase)|1>)/sqrt(2), where qubit i's
+    phase is sum_k b_k * c_k mod 1 over the weights c_k of its line (a line
+    that stays Control contributes its basis factor instead); and (b) the
+    simulated state is compared against the bit-reversed transform formula,
+    which a correct circuit must match.  All comparisons are per-amplitude within
     AMPLITUDE_TOL.  Type-incorrect circuits raise CircuitTypeError.
     """
     import numpy as np
 
     m = c.m
     _check_cap(m, cap)
-    outputs = run_abstract(c)
+    modulus = 2 ** m
+    # each weight as an integer numerator over 2**m
+    weights = [None if line is None else
+               {k: sum(1 << (m - n) for n in bits) for k, bits in _line_weights(m, i, *line).items()}
+               for i, line in enumerate(group_gates_by_line(c), start=1)]
     canonical = c == generate_qft(m)
     checks: list[InputCheck] = []
     for j in range(2 ** m):
         bits = tuple((j >> (m - 1 - t)) & 1 for t in range(m))
-        assignment = {k: bits[k - 1] for k in range(1, m + 1)}
         factors: list[np.ndarray] = []
-        for i in range(1, m + 1):
-            vec = outputs.qubit(i)
-            if vec is None:
+        for i, weight in enumerate(weights, start=1):
+            if weight is None:
                 factors.append(np.array([1.0 - bits[i - 1], bits[i - 1]], dtype=complex))
             else:
-                value = eval_bits(vec, assignment)
-                phase = Fraction(int("".join(str(b) for b in value), 2), 2 ** m)
+                phase = Fraction(sum(w for k, w in weight.items() if bits[k - 1]) % modulus, modulus)
                 factors.append(np.array(
                     [1.0, np.exp(2j * np.pi * float(phase))], dtype=complex) / math.sqrt(2.0))
         expected = factors[0]

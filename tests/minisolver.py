@@ -23,24 +23,23 @@ def tokenize(text: str) -> list[str]:
 
 
 def parse_all(tokens: list[str]) -> list:
-    forms = []
-    pos = 0
-
-    def read():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+    """Every top-level form, read with an explicit stack: an obligation's
+    target nests one ``concat`` per bit, deeper than Python's recursion
+    limit at m in the thousands."""
+    stack: list[list] = [[]]
+    for tok in tokens:
         if tok == "(":
-            items = []
-            while tokens[pos] != ")":
-                items.append(read())
-            pos += 1
-            return items
-        return tok
-
-    while pos < len(tokens):
-        forms.append(read())
-    return forms
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise SystemExit("minisolver: unbalanced parentheses")
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    if len(stack) != 1:
+        raise SystemExit("minisolver: unbalanced parentheses")
+    return stack[0]
 
 
 class BitVec:

@@ -80,24 +80,29 @@ def test_criterion_1_gate_count_reproduction():
 
 def test_criterion_2_correct_circuits_verified():
     start = time.perf_counter()
-    gates, worst_ms = [], []
-    for m in DESK_SIZES:
-        circuit = generate_qft(m)
-        # small sizes sit near timer noise; repeat them and keep the best
-        best = None
-        for _ in range(3 if m <= 256 else 1):
-            report = verify_circuit(circuit, CheckerConfig(backend="anf"))
-            assert report.overall == VERIFIED, f"m={m} not verified"
-            assert len(report.records) == m
-            worst = max(rec.millis for rec in report.records)
-            best = worst if best is None else min(best, worst)
-        gates.append(circuit.gate_count)
-        worst_ms.append(best)
+    circuits = [generate_qft(m) for m in DESK_SIZES]
+    gates = [c.gate_count for c in circuits]
+    # a textbook line takes microseconds, near the host's jitter: each qubit
+    # keeps its best of eight runs, two in each of four passes, up and down
+    # the sizes in turn, so a slow spell of the host has to cover every pass
+    # of a size to show, and the worst of those bests counts
+    best: list = [None] * len(circuits)
+    for sweep in range(4):
+        order = reversed(range(len(circuits))) if sweep % 2 else range(len(circuits))
+        for k in order:
+            for _ in range(2):
+                report = verify_circuit(circuits[k], CheckerConfig(backend="anf"))
+                assert report.overall == VERIFIED, f"m={circuits[k].m} not verified"
+                assert len(report.records) == circuits[k].m
+                millis = [rec.millis for rec in report.records]
+                best[k] = millis if best[k] is None else list(map(min, best[k], millis))
+    worst_ms = [max(b) for b in best]
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0, f"criterion 2 took {elapsed:.0f}s"
     rank = spearman(gates, worst_ms)
     nondecreasing = all(a <= b for a, b in zip(worst_ms, worst_ms[1:]))
-    assert nondecreasing or rank >= 0.9, f"time does not scale with gates: rho={rank:.3f}"
+    assert nondecreasing or rank >= 0.9, \
+        f"time does not scale with gates: rho={rank:.3f}, worst qubit ms {worst_ms}"
     print(f"\ncriterion 2 (correct circuits m=16..2048): PASS - all verified in "
           f"{elapsed:.1f}s, time-vs-gates rank correlation {rank:.3f}")
 
@@ -196,10 +201,13 @@ def test_criterion_7_smt_agreement(error_sweep):
 
 
 def test_criterion_8_error_position_trend():
-    positions = [1, 37, 73, 109, 146, 182, 218, 255]
-    result = run_position_sweep(256, positions, repeats=5, measure_memory=False)
+    # the failing line costs a fraction of a microsecond per gate, so eight
+    # positions 146 gates apart keep neighbours tens of microseconds apart
+    positions = [1 + 146 * k for k in range(8)]
+    result = run_position_sweep(1024, positions, repeats=5, measure_memory=False)
     assert all(rec.verdict == VIOLATION for rec in result.records)
     times = [rec.time_s for rec in result.records]
     rank = spearman(positions, times)
-    assert rank <= -0.8, f"expected decreasing time with error position, rho={rank:.3f}"
-    print(f"\ncriterion 8 (error-position trend, m=256): PASS - rank correlation {rank:.3f}")
+    assert rank <= -0.8, \
+        f"expected decreasing time with error position, rho={rank:.3f}, times {times}"
+    print(f"\ncriterion 8 (error-position trend, m=1024): PASS - rank correlation {rank:.3f}")

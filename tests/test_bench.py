@@ -1,4 +1,5 @@
 import csv
+import gc
 
 import pytest
 
@@ -76,6 +77,22 @@ class TestRunBench:
         run_bench(BenchConfig(sizes=[8], scenarios=["correct", "gate-2"], repeats=2,
                               measure_memory=False))
         assert labels == ["correct", "gate-2"] * 2
+
+    @pytest.mark.parametrize("was_enabled", [True, False])
+    def test_timed_runs_have_the_collector_off(self, monkeypatch, was_enabled):
+        states = []
+        measure = bench._measure
+        monkeypatch.setattr(bench, "_measure",
+                            lambda m, spec, label: states.append(gc.isenabled())
+                            or measure(m, spec, label))
+        (gc.enable if was_enabled else gc.disable)()
+        try:
+            run_bench(BenchConfig(sizes=[8], scenarios=["correct"], repeats=2,
+                                  measure_memory=False))
+            assert gc.isenabled() == was_enabled
+        finally:
+            gc.enable()
+        assert states == [False, False]
 
     @pytest.mark.parametrize("sizes,scenarios", [([8], ["correct", "gate-7"]),
                                                  ([8, 3], ["correct", "gate-2"])],
@@ -156,8 +173,12 @@ class TestPositionSweep:
 
 class TestMonotoneTrend:
     def test_time_and_memory_vs_gates(self):
-        sizes = [16, 32, 64, 128, 256, 512]
-        result = run_bench(BenchConfig(sizes=sizes, scenarios=["correct"], repeats=3))
+        # a textbook line is decided by one list comparison, a few ns per
+        # gate, so the sizes double from 256: below that, the worst line's
+        # time is within the host's jitter of its neighbour's
+        sizes = [256, 512, 1024, 2048, 4096, 8192]
+        result = run_bench(BenchConfig(sizes=sizes, scenarios=["correct"], repeats=5,
+                                       allow_huge=True))
         gates = [rec.gates for rec in result.records]
         times = [rec.time_s for rec in result.records]
         mems = [rec.mem_mb for rec in result.records]

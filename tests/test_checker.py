@@ -9,7 +9,6 @@ from qftverify.boolexpr import _VARS, TRUE, FALSE, and_, var
 from qftverify.checker import (
     CheckerConfig,
     SolverUnavailableError,
-    UNRESOLVED,
     TYPE_ERROR,
     VERIFIED,
     VIOLATION,
@@ -29,6 +28,7 @@ from qftverify.circuit import (
     generate_qft,
     inject_error,
     qft_gate_count,
+    qft_line,
     qft_line_gates,
 )
 from helpers import bits_as_int, concrete_line_values, eval_poly, split_rotation
@@ -175,18 +175,6 @@ class TestVerifyCircuit:
         assert report.type_error_gate == inserted
         assert report.records == []
 
-    def test_budget_overflow_without_solver_is_unresolved(self):
-        # many same-position rotations with distinct controls build carry
-        # polynomials whose normal forms exceed a tiny budget
-        m = 14
-        gates = [GateInstance("H", 1)]
-        gates += [GateInstance("R", 1, n=m, control=k) for k in range(2, m + 1)]
-        gates += [GateInstance("H", k) for k in range(2, m + 1)]
-        c = CircuitDescription(m, tuple(gates))
-        report = verify_circuit(c, CheckerConfig(anf_budget=50))
-        assert report.overall == UNRESOLVED
-        assert report.records[0].verdict.status == UNRESOLVED
-
     @pytest.mark.parametrize("backend", ["SMT", "z3", ""])
     def test_unknown_backend_is_rejected(self, backend):
         with pytest.raises(ValueError, match="backend"):
@@ -236,6 +224,56 @@ class TestVerifyLines:
         assert bits_as_int(verdict.actual) == actual
         assert bits_as_int(verdict.expected) == expected
         assert actual != expected
+
+
+def _circuit_with_line(m: int, i: int, rotations) -> CircuitDescription:
+    """The canonical m-qubit circuit with line i's rotations replaced by
+    ``rotations``, a list of (order, control) pairs after its H."""
+    gates = []
+    for j in range(1, m + 1):
+        gates.append(GateInstance("H", j))
+        pairs = rotations if j == i else zip(*qft_line(m, j))
+        gates += [GateInstance("R", j, n=n, control=k) for n, k in pairs]
+    return CircuitDescription(m, tuple(gates))
+
+
+class TestCoefficientDecision:
+    def _refuted(self, c: CircuitDescription, i: int):
+        report = verify_circuit(c, CheckerConfig(exhaustive=True))
+        verdict = report.records[i - 1].verdict
+        assert verdict.status == VIOLATION
+        sigma = tuple(verdict.counterexample[k] for k in range(1, c.m + 1))
+        assert bits_as_int(verdict.actual) == concrete_line_values(c, sigma)[i - 1]
+        assert verdict.actual != verdict.expected
+        return verdict
+
+    def test_forty_same_order_rotations_are_refuted(self):
+        # 40 R(64) gates with distinct controls all land on the last bit, so
+        # their carries as polynomials grow past any budget; as weights, each
+        # control holds one 2^-64
+        m = 64
+        c = _circuit_with_line(m, 1, [(m, k) for k in range(2, 42)])
+        verdict = self._refuted(c, 1)
+        assert verdict.counterexample == {k: int(k == 2) for k in range(1, m + 1)}
+        assert verdict.detail == "coefficient of b2 differs from 2^-2"
+
+    def test_carry_out_of_the_half_turn_wraps(self):
+        # two R(1) gates on one control add a full turn, which is no turn
+        m = 6
+        rotations = list(zip(*qft_line(m, 2)))
+        rotations[2:2] = [(1, 5), (1, 5)]
+        c = _circuit_with_line(m, 2, rotations)
+        assert verify_circuit(c, CheckerConfig(exhaustive=True)).overall == VERIFIED
+
+    def test_carry_into_the_half_turn_is_refuted(self):
+        # two quarter turns on b1 make a half turn, and line 2 must not
+        # depend on b1
+        m = 6
+        c = _circuit_with_line(m, 2, list(zip(*qft_line(m, 2))) + [(2, 1), (2, 1)])
+        verdict = self._refuted(c, 2)
+        assert verdict.counterexample == {k: int(k == 1) for k in range(1, m + 1)}
+        assert verdict.actual == (1, 0, 0, 0, 0, 0)
+        assert verdict.detail == "coefficient of b1 differs from 0"
 
 
 def _live_polys() -> int:

@@ -144,6 +144,9 @@ class TestErrors:
         assert main(["verify"]) == 3
         assert main(["verify", "-i", str(qft3_file), "--workers", "2"]) == 3
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        # the structural backend always decides, so there is no fallback mode
+        assert main(["verify", "-i", str(qft3_file), "--backend", "auto"]) == 3
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:

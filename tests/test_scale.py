@@ -100,3 +100,67 @@ def test_split_line_one_still_verifies(canonical):
     split = CircuitDescription(m, (*line_one, *gates[m:]))
     assert split.gate_count == c.gate_count + m - 2
     assert verify_circuit(split, CheckerConfig(exhaustive=True)).overall == "verified"
+
+
+@st.composite
+def folded_lines(draw):
+    """A canonical m-qubit circuit, m in 64..300, with one line rebuilt from
+    its textbook rotations: up to three errors (a wrong order or control, a
+    duplicate, a dropped or an extra rotation) and some textbook rotations,
+    each maybe split into 2**d rotations of d orders finer on the same
+    control so that they carry d levels, and the whole line shuffled.
+    Returns the circuit and the rebuilt line's index."""
+    m = draw(st.integers(64, 300))
+    i = draw(st.integers(1, m - 1))
+    rotations = [(n, i + n - 1) for n in range(2, m - i + 2)]
+
+    def split(k):
+        n, control = rotations[k]
+        depth = draw(st.integers(0, min(6, m - n)))
+        rotations[k:k + 1] = [(n + depth, control)] * (1 << depth)
+
+    for kind in draw(st.lists(st.sampled_from(("order", "control", "duplicate", "drop", "extra")),
+                              max_size=3)):
+        if not rotations:
+            kind = "extra"
+        k = draw(st.integers(0, max(len(rotations) - 1, 0)))
+        if kind == "order":
+            n = draw(st.sampled_from((1, rotations[k][0] - 1, rotations[k][0] + 1))
+                     | st.integers(1, m))
+            rotations[k] = (min(max(n, 1), m), rotations[k][1])
+        elif kind == "control":
+            rotations[k] = (rotations[k][0], draw(st.integers(1, m)))
+        elif kind == "duplicate":
+            rotations.insert(k, rotations[k])
+        elif kind == "drop":
+            del rotations[k]
+            continue
+        else:
+            k = len(rotations)
+            rotations.append((draw(st.integers(1, m)), draw(st.integers(1, m))))
+        split(k)
+    for _ in range(draw(st.integers(1, 4))):
+        if rotations:
+            split(draw(st.integers(0, len(rotations) - 1)))
+    rotations = draw(st.permutations(rotations))
+    targets, orders, controls = [], [], []
+    for j in range(1, m + 1):
+        line = rotations if j == i else [(n, j + n - 1) for n in range(2, m - j + 2)]
+        targets += [j] * (len(line) + 1)
+        orders += [0, *(n for n, _ in line)]
+        controls += [0, *(k for _, k in line)]
+    return CircuitDescription._from_columns(m, targets, orders, controls), i
+
+
+def test_folded_lines_match_integer_phases():
+    statuses = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(folded_lines())
+    def check(case):
+        c, i = case
+        assert refcheck_problems(c) == []
+        statuses.add(verify_circuit(c).overall)
+
+    check()
+    assert statuses == {"verified", "violation"}
