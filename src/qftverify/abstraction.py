@@ -18,32 +18,22 @@ Controls tap initial values, so line i's phase is linear in the inputs:
 sum_k b_k * c_k mod 1, where the weight c_k is 2**-1 from the H when k = i
 plus 2**-n for each R(n) that k controls.  _line_weights folds a line into
 these weights, and the checker decides it by comparing each weight with its
-target.  The polynomial interpreter (_interpret_line, run_abstract,
-eval_bits) and typecheck stay only because the benchmark's layer probes
-import them; no verdict path uses them.
+target.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .boolexpr import DEFAULT_TERM_BUDGET, FALSE, AnfBudgetError, and_, evaluate, sorted_monomials, var
 from .circuit import CircuitDescription
 
 __all__ = [
     "TypeErrorKind",
     "CircuitTypeError",
-    "SymbolicBitVector",
-    "AbstractOutputs",
-    "typecheck",
     "group_gates_by_line",
-    "run_abstract",
-    "eval_bits",
     "bits_to_string",
 ]
 
@@ -66,54 +56,9 @@ class CircuitTypeError(Exception):
         self.gate_ordinal = gate_ordinal
 
 
-@dataclass(frozen=True)
-class SymbolicBitVector:
-    """Width-m fractional bit-vector; ``bits[0]`` is bit 1, the 2**-1 bit."""
-
-    width: int
-    bits: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        if len(self.bits) != self.width:
-            raise ValueError(f"expected {self.width} bits, got {len(self.bits)}")
-
-
-def eval_bits(v: SymbolicBitVector, assignment: Mapping[int, int]) -> tuple[int, ...]:
-    """Concrete bits of ``v`` under an input assignment.
-
-    Raises ValueError if a bit mentions a variable the assignment leaves unset.
-    """
-    unset = ~sum(1 << k for k in assignment)
-    for bit in v.bits:
-        for mono in bit:
-            if mono & unset:
-                raise ValueError(f"unassigned variable b{sorted_monomials({mono & unset})[0][0]}")
-    true_vars = sum(1 << k for k, value in assignment.items() if value)
-    return tuple(evaluate(bit, true_vars) for bit in v.bits)
-
-
 def bits_to_string(bits: Sequence[int]) -> str:
     """Render concrete bits in fractional notation, e.g. (1,0,1) -> "0.101"."""
     return "0." + "".join(str(b) for b in bits)
-
-
-@dataclass(frozen=True)
-class AbstractOutputs:
-    """Final per-line symbolic bit-vectors of a type-correct circuit.
-
-    A line that never receives an H stays Control and has no bit-vector; its
-    entry is None and the property checker reports it as a violation (an
-    unrotated wire cannot carry the required output form).
-    """
-
-    width: int
-    per_qubit: tuple[SymbolicBitVector | None, ...]
-
-    def qubit(self, i: int) -> SymbolicBitVector | None:
-        """Output of qubit i (1-based)."""
-        if not 1 <= i <= self.width:
-            raise IndexError(f"qubit {i} out of range 1..{self.width}")
-        return self.per_qubit[i - 1]
 
 
 # A typed line: its rotations' orders and controls in program order, or None
@@ -157,22 +102,6 @@ def group_gates_by_line(c: CircuitDescription) -> list[Line]:
             columns[0].append(n)
             columns[1].append(control)
     return lines
-
-
-def typecheck(c: CircuitDescription) -> None:
-    """Check the wire-typing discipline; raise CircuitTypeError on violation.
-
-    Success means every line has at most one H and no rotation targets a line
-    before its H.
-    """
-    group_gates_by_line(c)
-
-
-@functools.lru_cache(maxsize=1)
-def _var_row(m: int) -> list[frozenset[int]]:
-    """b1..bm, then m FALSE; never mutated.  Entry k-1 is input b_k's
-    variable, and the m entries from index i-1 are qubit i's target form."""
-    return [*map(var, range(1, m + 1)), *(FALSE,) * m]
 
 
 def _check_line(m: int, i: int, orders: Sequence[int], controls: Sequence[int]) -> None:
@@ -232,55 +161,3 @@ def _line_weights(m: int, i: int, orders: Sequence[int],
     for k, n in zip(controls, orders):
         taps.setdefault(k, []).append(n)
     return {k: ns if len(ns) == 1 else _fold(ns) for k, ns in taps.items()}
-
-
-def _interpret_line(m: int, i: int, line: Line, budget: int = DEFAULT_TERM_BUDGET,
-                    values: Sequence[frozenset[int]] | None = None) -> list[frozenset[int]] | None:
-    """Run line i under the abstract semantics.
-
-    ``line`` is ``(orders, controls)`` as group_gates_by_line gives it;
-    returns the final bit list, or None for a line that never receives an H.
-    ``values[k-1]`` is the value of input b_k: its variable by default, or a
-    constant to run the line on one input.  The one-hot adds are done in
-    place with early carry cut-off, so a gate costs O(live carry chain), not
-    O(m).  Raises ValueError for a line that _check_line rejects, and
-    AnfBudgetError when a sum or a carry exceeds ``budget`` monomials.
-    """
-    if line is None:
-        return None
-    orders, controls = line
-    _check_line(m, i, orders, controls)
-    if values is None:
-        values = _var_row(m)
-    bits = [FALSE] * m
-    bits[0] = values[i - 1]
-    for n, k in zip(orders, controls):
-        carry = values[k - 1]
-        p = n - 1
-        while carry:
-            bit = bits[p]
-            if not bit:
-                bits[p] = carry  # keeps var(k) itself, so a correct bit is found by identity
-                break
-            total = bit ^ carry
-            if len(total) > budget:
-                raise AnfBudgetError(budget)
-            bits[p] = total
-            if p == 0:
-                break  # the carry out of bit 1 is the modulo-one wrap: dropped
-            carry = and_(bit, carry, budget)
-            p -= 1
-    return bits
-
-
-def run_abstract(c: CircuitDescription) -> AbstractOutputs:
-    """Interpret the whole circuit abstractly; raises CircuitTypeError.
-
-    Gates on distinct lines commute under these semantics (controls tap
-    initial values only), so each line is folded independently.
-    """
-    outputs: list[SymbolicBitVector | None] = []
-    for i, line in enumerate(group_gates_by_line(c), start=1):
-        bits = _interpret_line(c.m, i, line)
-        outputs.append(None if bits is None else SymbolicBitVector(c.m, tuple(bits)))
-    return AbstractOutputs(c.m, tuple(outputs))

@@ -10,10 +10,6 @@ k >= i and 0 for k < i.  The input b = e_k, with only b_k set, separates
 any k that differs, so every refutation carries a counterexample by
 construction.  A line equal to the textbook one is verified by one list
 comparison before any of this.
-
-target_vector, check_qubit and find_counterexample decide from the
-polynomial interpreter instead.  They stay only because the benchmark's
-layer probes import them; no verdict path uses them.
 """
 
 from __future__ import annotations
@@ -25,18 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import smt
-from .boolexpr import evaluate, sorted_monomials
-from .abstraction import (
-    AbstractOutputs,
-    CircuitTypeError,
-    Line,
-    SymbolicBitVector,
-    _fold,
-    _line_weights,
-    _var_row,
-    bits_to_string,
-    group_gates_by_line,
-)
+from .abstraction import CircuitTypeError, Line, _fold, _line_weights, bits_to_string, group_gates_by_line
 from .circuit import CircuitDescription, qft_line
 
 __all__ = [
@@ -44,9 +29,6 @@ __all__ = [
     "QubitVerdict",
     "QubitRecord",
     "VerificationReport",
-    "target_vector",
-    "check_qubit",
-    "find_counterexample",
     "verify_lines",
     "verify_circuit",
     "SolverUnavailableError",
@@ -158,13 +140,6 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def target_vector(i: int, m: int) -> SymbolicBitVector:
-    """The required output form for qubit i: bits b(i), b(i+1), .., b(m), 0, .., 0."""
-    if not 1 <= i <= m:
-        raise IndexError(f"qubit {i} out of range 1..{m}")
-    return SymbolicBitVector(m, tuple(_var_row(m)[i - 1:i - 1 + m]))
-
-
 def _expected_bits(assignment: dict[int, int], i: int, m: int) -> tuple[int, ...]:
     """Qubit i's target form under a total assignment: b(i)..b(m), then i-1 zeros."""
     return (*map(assignment.__getitem__, range(i, m + 1)), *(0,) * (i - 1))
@@ -185,21 +160,6 @@ def _assignment(true_vars: Iterable[int], m: int) -> dict[int, int]:
     return assignment
 
 
-def find_counterexample(diff: frozenset[int], m: int) -> dict[int, int]:
-    """A total assignment under which a nonzero difference polynomial is 1.
-
-    If the constant monomial is present, all-false works: every other
-    monomial vanishes.  Otherwise any monomial of minimum degree is
-    inclusion-minimal (no proper subset can be a monomial of the polynomial),
-    so setting exactly its variables true makes it the only monomial that
-    evaluates to 1.  Deterministic: smallest monomial in (degree, index)
-    order is chosen.
-    """
-    if not diff:
-        raise ValueError("cannot extract a counterexample from the zero polynomial")
-    return _assignment(sorted_monomials(diff)[0], m)
-
-
 def _witness(i: int, m: int, assignment: dict[int, int], actual: tuple[int, ...] | None,
              detail: str) -> QubitVerdict | None:
     """The violation that ``assignment`` exhibits on qubit i, whose line gives
@@ -211,27 +171,10 @@ def _witness(i: int, m: int, assignment: dict[int, int], actual: tuple[int, ...]
                         expected=expected, actual=actual, detail=detail)
 
 
-def _check_line_bits(bits: list[frozenset[int]] | None, i: int, m: int) -> QubitVerdict:
-    """Decide one qubit from its final bit list (None = line stayed Control)."""
-    if bits is None:
-        return _witness(i, m, _assignment((i,), m), None,
-                        "line never receives an H gate; its output stays an unrotated control wire")
-    targets = _var_row(m)[i - 1:i - 1 + m]
-    # var(k) and FALSE are single objects, so a correct line matches by identity
-    if bits == targets:
-        return QubitVerdict(qubit=i, status=VERIFIED)
-    for p, (actual_bit, target_bit) in enumerate(zip(bits, targets), start=1):
-        if actual_bit != target_bit:
-            break
-    true_vars = sorted_monomials(actual_bit ^ target_bit)[0]
-    mask = sum(1 << v for v in true_vars)
-    actual = tuple([evaluate(b, mask) if b else 0 for b in bits])
-    verdict = _witness(i, m, _assignment(true_vars, m), actual, f"first difference at bit {p}")
-    if verdict is None:
-        raise AssertionError(
-            f"qubit {i}: counterexample failed to separate actual from expected at bit {p}"
-        )
-    return verdict
+def _unrotated(i: int, m: int) -> QubitVerdict:
+    """The violation of qubit i whose line never receives an H."""
+    return _witness(i, m, _assignment((i,), m), None,
+                    "line never receives an H gate; its output stays an unrotated control wire")
 
 
 def _phase_bits(set_orders: Iterable[int], m: int) -> tuple[int, ...]:
@@ -262,14 +205,12 @@ def _decide_line(m: int, i: int, orders: Sequence[int], controls: Sequence[int])
 
 
 def _solver_verdict(solver: smt.SolverConfig, i: int, m: int, line: Line) -> QubitVerdict:
-    """Decide one qubit with the external solver.
+    """Decide one qubit, whose line has an H, with the external solver.
 
     A sat model is re-validated by evaluating the line's phase on the
     model's input values, sum_k b_k * c_k mod 1, before a violation is
     reported, so a nonconforming solver cannot fabricate a counterexample.
     """
-    if line is None:
-        return _check_line_bits(None, i, m)
     result = smt.solve_line(solver, line, i, m)
     if result.status == "unsat":
         return QubitVerdict(qubit=i, status=VERIFIED)
@@ -292,18 +233,12 @@ def _solver_verdict(solver: smt.SolverConfig, i: int, m: int, line: Line) -> Qub
     return verdict
 
 
-def check_qubit(outputs: AbstractOutputs, i: int) -> QubitVerdict:
-    """Decide one qubit of precomputed abstract outputs."""
-    vec = outputs.qubit(i)
-    return _check_line_bits(None if vec is None else list(vec.bits), i, outputs.width)
-
-
 def _verify_one_qubit(line: Line, i: int, m: int, cfg: CheckerConfig) -> QubitRecord:
     start = time.perf_counter()
-    if cfg.backend == "smt":
+    if line is None:
+        verdict = _unrotated(i, m)
+    elif cfg.backend == "smt":
         verdict = _solver_verdict(cfg.solver, i, m, line)
-    elif line is None:
-        verdict = _check_line_bits(None, i, m)
     elif len(line[0]) == m - i and line == qft_line(m, i):
         verdict = QubitVerdict(qubit=i, status=VERIFIED)
     else:
@@ -316,26 +251,33 @@ def verify_lines(m: int, gate_count: int, lines: Iterable[Line],
                  cfg: CheckerConfig) -> VerificationReport:
     """Decide every qubit of a circuit given as well-typed lines.
 
-    ``lines`` yields line 1, 2, .. in order, each as group_gates_by_line
+    ``lines`` yields line 1, 2, .., m in order, each as group_gates_by_line
     gives it: ``(orders, controls)`` for its rotations in program order, or
     None for a line without an H.  It is consumed lazily, one line at a
     time, so a streamed circuit never needs to exist whole.  A malformed
-    line (columns of unequal length, or a line index, order or control
-    outside 1..m) raises ValueError.  Per-qubit work (folding that line's
-    gates and checking its weights) is timed separately so reported
-    times reflect the independent per-qubit obligations rather than the
-    whole-circuit sweep.  In short-circuit mode
+    line (columns of unequal length, or an order or control outside 1..m)
+    raises ValueError, and so does a line pulled after line m, or lines
+    that end before line m unless a failed qubit stopped the run first.
+    Per-qubit work (folding that line's gates and checking its weights) is
+    timed separately so reported times reflect the independent per-qubit
+    obligations rather than the whole-circuit sweep.  In short-circuit mode
     no line is pulled after the first non-verified qubit.  The solver, when
     the backend asks for one, is ``cfg.solver``.
     """
     if cfg.backend == "smt" and cfg.solver is None:
         raise SolverUnavailableError("smt backend requested but no solver is configured")
     report = VerificationReport(qubits=m, gate_count=gate_count, overall=VERIFIED)
+    i = 0
     for i, line in enumerate(lines, start=1):
+        if i > m:
+            raise ValueError(f"more than {m} lines for {m} qubits")
         rec = _verify_one_qubit(line, i, m, cfg)
         report.records.append(rec)
         if rec.verdict.status != VERIFIED and not cfg.exhaustive:
             break
+    else:
+        if i < m:
+            raise ValueError(f"{i} lines for {m} qubits")
 
     statuses = [r.verdict.status for r in report.records]
     if VIOLATION in statuses:

@@ -142,12 +142,12 @@ def emit_smt2(c: CircuitDescription, i: int) -> str:
     """Emit qubit i's obligation for a type-correct circuit.
 
     Type errors are decided before any solver sees the circuit, so this
-    raises CircuitTypeError rather than encoding an ill-typed line.
+    raises CircuitTypeError rather than encoding an ill-typed line; a qubit
+    outside 1..m raises IndexError before the circuit is typed.
     """
-    lines = group_gates_by_line(c)
     if not 1 <= i <= c.m:
         raise IndexError(f"qubit {i} out of range 1..{c.m}")
-    return _emit_obligation(lines[i - 1], i, c.m)
+    return _emit_obligation(group_gates_by_line(c)[i - 1], i, c.m)
 
 
 def write_obligations(c: CircuitDescription, directory: Path | str) -> list[Path]:

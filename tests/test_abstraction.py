@@ -3,18 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from qftverify.abstraction import (
+from qftverify.abstraction import CircuitTypeError, TypeErrorKind, group_gates_by_line
+from qftverify.boolexpr import (
+    FALSE,
+    TRUE,
     AbstractOutputs,
-    CircuitTypeError,
     SymbolicBitVector,
-    TypeErrorKind,
     _interpret_line,
     eval_bits,
-    group_gates_by_line,
     run_abstract,
     typecheck,
+    var,
 )
-from qftverify.boolexpr import FALSE, TRUE, var
 from qftverify.circuit import (
     CircuitDescription,
     DuplicateH,
@@ -77,9 +77,13 @@ class TestAbstractRn:
         assert interpret(3, 1, [(2, 2), (3, 3)]) == [var(1), var(2), var(3)]
 
     def test_input_values_come_from_the_row(self):
-        # a row of constants runs the line on one input: b1=1, b2=0, b3=1
-        row = [TRUE, FALSE, TRUE]
-        assert _interpret_line(3, 1, ([2, 3], [2, 3]), values=row) == [TRUE, FALSE, TRUE]
+        # one row of inputs, b1=1, b2=0, b3=1, runs the line to 0.101, as
+        # integer execution of the same gates does
+        rotations = [(2, 2), (3, 3)]
+        c = CircuitDescription(3, (GateInstance("H", 1),
+                                   *(GateInstance("R", 1, n=n, control=k) for n, k in rotations)))
+        assert line_value(3, 1, rotations, {1: 1, 2: 0, 3: 1}) == (1, 0, 1)
+        assert concrete_line_values(c, (1, 0, 1))[0] == bits_as_int((1, 0, 1))
 
     def test_order_finer_than_width_rejected(self):
         with pytest.raises(ValueError, match="rotation order 4 not representable in 3 bits"):

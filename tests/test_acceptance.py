@@ -11,15 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from qftverify.abstraction import eval_bits, run_abstract
 from qftverify.bench import run_position_sweep
-from qftverify.checker import (
-    CheckerConfig,
-    VERIFIED,
-    VIOLATION,
-    target_vector,
-    verify_circuit,
-)
+from qftverify.boolexpr import eval_bits, run_abstract, target_vector
+from qftverify.checker import CheckerConfig, VERIFIED, VIOLATION, verify_circuit
 from qftverify.circuit import (
     enumerate_error_specs,
     generate_qft,

@@ -4,18 +4,18 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qftverify.abstraction import _interpret_line
 from qftverify.boolexpr import (
     AnfBudgetError,
     FALSE,
     TRUE,
+    _interpret_line,
     and_,
     anf_normalize,
     evaluate,
+    find_counterexample,
     sorted_monomials,
     var,
 )
-from qftverify.checker import find_counterexample
 from helpers import all_basis_inputs, eval_poly, random_tree, tree_poly, tree_value, truth_table
 
 

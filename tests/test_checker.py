@@ -1,20 +1,27 @@
-import gc
 import json
 
 import pytest
 
-from qftverify.abstraction import SymbolicBitVector, eval_bits, group_gates_by_line, run_abstract
+from qftverify.abstraction import group_gates_by_line
 from qftverify.bench import _qft_lines, scenario_error_spec
-from qftverify.boolexpr import _VARS, TRUE, FALSE, and_, var
+from qftverify.boolexpr import (
+    FALSE,
+    TRUE,
+    SymbolicBitVector,
+    and_,
+    check_qubit,
+    eval_bits,
+    find_counterexample,
+    run_abstract,
+    target_vector,
+    var,
+)
 from qftverify.checker import (
     CheckerConfig,
     SolverUnavailableError,
     TYPE_ERROR,
     VERIFIED,
     VIOLATION,
-    check_qubit,
-    find_counterexample,
-    target_vector,
     verify_circuit,
     verify_lines,
 )
@@ -209,6 +216,18 @@ class TestVerifyLines:
         assert report.overall == VIOLATION
         assert [rec.verdict.status for rec in report.records] == [VERIFIED, VIOLATION]
 
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_lines_that_end_early_are_rejected(self, exhaustive):
+        # one verified line of four is not a verified circuit
+        with pytest.raises(ValueError, match="1 lines for 4 qubits"):
+            verify_lines(4, qft_gate_count(4), [qft_line(4, 1)], CheckerConfig(exhaustive=exhaustive))
+
+    def test_line_after_the_last_is_rejected(self):
+        # a line after line m has no qubit to decide, even one without an H
+        lines = [qft_line(2, 1), qft_line(2, 2), None]
+        with pytest.raises(ValueError, match="more than 2 lines for 2 qubits"):
+            verify_lines(2, qft_gate_count(2), lines, CheckerConfig(exhaustive=True))
+
     def test_deep_carry_witness_matches_concrete_run(self):
         # gate-n at m = 1024: the witness rides a carry through the whole line,
         # and both vectors must match integer execution of that line
@@ -274,23 +293,3 @@ class TestCoefficientDecision:
         assert verdict.counterexample == {k: int(k == 1) for k in range(1, m + 1)}
         assert verdict.actual == (1, 0, 0, 0, 0, 0)
         assert verdict.detail == "coefficient of b1 differs from 0"
-
-
-def _live_polys() -> int:
-    gc.collect()
-    return sum(1 for obj in gc.get_objects() if type(obj) is frozenset)
-
-
-class TestExpressionLifetime:
-    def test_live_nodes_do_not_grow_across_verifications(self):
-        # a verification's polynomials die with it; only the var cache, one
-        # polynomial per index, outlives a call, so four distinct deep-carry
-        # bugs on the same line leave both counts flat
-        m = 64
-        counts = []
-        for k in range(1, 5):
-            spec = IncorrectGateOrder(target=1, ordinal=m - 1, wrong_n=m - k)
-            report = verify_circuit(inject_error(generate_qft(m), spec))
-            assert report.overall == VIOLATION
-            counts.append((_live_polys(), len(_VARS)))
-        assert counts == [counts[0]] * len(counts)

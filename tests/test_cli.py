@@ -121,6 +121,14 @@ class TestEmitSmt:
         main(["inject", "--error", "missing-h:target=2", "-i", str(qft3_file), "-o", str(bad)])
         assert main(["emit-smt", "-i", str(bad), "--qubit", "1", "-o", "-"]) == 2
 
+    @pytest.mark.parametrize("qubit", ["0", "4"])
+    def test_qubit_out_of_range_outranks_type_error(self, qft3_file, tmp_path, capsys, qubit):
+        # a bad --qubit is a usage error whatever the file holds, as verify's flags are
+        bad = tmp_path / "bad.json"
+        main(["inject", "--error", "missing-h:target=2", "-i", str(qft3_file), "-o", str(bad)])
+        assert main(["emit-smt", "-i", str(bad), "--qubit", qubit, "-o", "-"]) == 3
+        assert f"qubit {qubit} out of range 1..3" in capsys.readouterr().err
+
 
 class TestBench:
     def test_small_sweep_csv(self, tmp_path, capsys):

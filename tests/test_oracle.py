@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qftverify
-from qftverify.abstraction import CircuitTypeError, eval_bits
-from qftverify.checker import CheckerConfig, target_vector, verify_circuit
+from qftverify.abstraction import CircuitTypeError
+from qftverify.boolexpr import eval_bits, target_vector
+from qftverify.checker import CheckerConfig, verify_circuit
 from qftverify.circuit import (
     IncorrectGateOrder,
     MissingH,

@@ -6,15 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from qftverify.abstraction import CircuitTypeError, eval_bits, group_gates_by_line, run_abstract
-from qftverify.checker import (
-    CheckerConfig,
-    TYPE_ERROR,
-    UNRESOLVED,
-    VIOLATION,
-    target_vector,
-    verify_circuit,
-)
+from qftverify.abstraction import CircuitTypeError, group_gates_by_line
+from qftverify.boolexpr import eval_bits, run_abstract, target_vector
+from qftverify.checker import CheckerConfig, TYPE_ERROR, UNRESOLVED, VIOLATION, verify_circuit
 from qftverify.circuit import (
     CircuitDescription,
     GateInstance,
@@ -340,9 +334,18 @@ class TestMinisolverDifferential:
         assert sats > 0 and obligations > sats
 
 
-def test_smt_does_not_import_checker():
-    # the checker drives the solver layer, never the other way round; load
-    # the module without the package's __init__, which imports everything
+@pytest.mark.parametrize("module,unloaded", [
+    # the checker drives the solver layer, never the other way round
+    ("smt", "checker"),
+    # the polynomial interpreter imports the product, never the other way round
+    ("abstraction", "boolexpr"),
+    ("checker", "boolexpr"),
+    ("bench", "boolexpr"),
+    ("oracle", "boolexpr"),
+    ("cli", "boolexpr"),
+], ids=lambda name: name)
+def test_import_direction(module, unloaded):
+    # load the module without the package's __init__, which imports everything
     import qftverify
 
     code = (
@@ -350,10 +353,10 @@ def test_smt_does_not_import_checker():
         "pkg = types.ModuleType('qftverify')\n"
         f"pkg.__path__ = {list(qftverify.__path__)!r}\n"
         "sys.modules['qftverify'] = pkg\n"
-        "importlib.import_module('qftverify.smt')\n"
+        f"importlib.import_module('qftverify.{module}')\n"
         "print(json.dumps(sorted(n for n in sys.modules if n.startswith('qftverify.'))))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     loaded = json.loads(out.stdout)
-    assert "qftverify.smt" in loaded
-    assert "qftverify.checker" not in loaded
+    assert f"qftverify.{module}" in loaded
+    assert f"qftverify.{unloaded}" not in loaded
