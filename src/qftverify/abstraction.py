@@ -14,11 +14,13 @@ rotation of order n adds, modulo 1, a one-hot vector at position n ANDed with
 its control's initial value.  Violations of this discipline are the type
 errors that expose structural circuit defects.
 
-Controls tap initial values, so line i's phase is linear in the inputs:
-sum_k b_k * c_k mod 1, where the weight c_k is 2**-1 from the H when k = i
-plus 2**-n for each R(n) that k controls.  _line_weights folds a line into
-these weights, and the checker decides it by comparing each weight with its
-target.
+Controls are read at their initial values, so line i's phase is linear in
+the inputs: sum_k b_k * c_k mod 1, where the weight c_k is 2**-1 from the H
+when k = i plus 2**-n for each R(n) that k controls.  _line_weights folds a
+line into these weights, and the checker decides it by comparing each weight
+with its target.  The typing does not enforce that reading: a control line
+already past its H is still read at its initial bit, so such a circuit can be
+verified although a real controlled phase differs (ROADMAP item 1).
 """
 
 from __future__ import annotations

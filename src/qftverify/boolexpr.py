@@ -7,8 +7,8 @@ kept for a single caller outside the tests, the benchmark's worker
 (perfbench/worker.py), which imports seven of its names through the
 package: typecheck, run_abstract, anf_normalize, check_qubit,
 target_vector, find_counterexample and eval_bits.  Once the worker is
-ported to the weights (ROADMAP item 1), this file and those seven
-re-exports are deleted.
+ported to the weights (ROADMAP item 2), this file and those seven
+re-exports are deleted (ROADMAP item 3).
 
 The rotation semantics only ever combines bits with XOR and AND (that is all a
 ripple-carry adder needs), so every bit is held directly as its algebraic

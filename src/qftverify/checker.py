@@ -31,7 +31,6 @@ __all__ = [
     "VerificationReport",
     "verify_lines",
     "verify_circuit",
-    "SolverUnavailableError",
 ]
 
 VERIFIED = "verified"
@@ -40,28 +39,18 @@ TYPE_ERROR = "type_error"
 UNRESOLVED = "unresolved"
 
 
-class SolverUnavailableError(Exception):
-    """The smt backend was requested but no external solver is configured."""
-
-
 @dataclass(frozen=True)
 class CheckerConfig:
     """Knobs for verify_circuit.
 
-    backend: "anf" decides each line by its per-control weights, "smt"
-    defers every qubit to an external solver.  Short-circuit
-    (exhaustive=False) stops at the first non-verified qubit, which is the
-    error-hunting default; exhaustive mode checks all qubits for
-    certification.
+    A solver decides every qubit (records read "smt"); without one, each
+    line is decided by its per-control weights (records read "weights").
+    Short-circuit (exhaustive=False) stops at the first non-verified qubit,
+    the error-hunting default; exhaustive mode checks all qubits.
     """
 
-    backend: str = "anf"
     exhaustive: bool = False
     solver: smt.SolverConfig | None = None
-
-    def __post_init__(self):
-        if self.backend not in ("anf", "smt"):
-            raise ValueError(f"unknown backend {self.backend!r}; expected 'anf' or 'smt'")
 
 
 @dataclass(frozen=True)
@@ -233,18 +222,14 @@ def _solver_verdict(solver: smt.SolverConfig, i: int, m: int, line: Line) -> Qub
     return verdict
 
 
-def _verify_one_qubit(line: Line, i: int, m: int, cfg: CheckerConfig) -> QubitRecord:
-    start = time.perf_counter()
+def _verify_one_qubit(line: Line, i: int, m: int, solver: smt.SolverConfig | None) -> QubitVerdict:
     if line is None:
-        verdict = _unrotated(i, m)
-    elif cfg.backend == "smt":
-        verdict = _solver_verdict(cfg.solver, i, m, line)
-    elif len(line[0]) == m - i and line == qft_line(m, i):
-        verdict = QubitVerdict(qubit=i, status=VERIFIED)
-    else:
-        verdict = _decide_line(m, i, *line)
-    millis = (time.perf_counter() - start) * 1000.0
-    return QubitRecord(verdict=verdict, backend=cfg.backend, millis=millis)
+        return _unrotated(i, m)
+    if solver is not None:
+        return _solver_verdict(solver, i, m, line)
+    if len(line[0]) == m - i and line == qft_line(m, i):
+        return QubitVerdict(qubit=i, status=VERIFIED)
+    return _decide_line(m, i, *line)
 
 
 def verify_lines(m: int, gate_count: int, lines: Iterable[Line],
@@ -261,17 +246,17 @@ def verify_lines(m: int, gate_count: int, lines: Iterable[Line],
     Per-qubit work (folding that line's gates and checking its weights) is
     timed separately so reported times reflect the independent per-qubit
     obligations rather than the whole-circuit sweep.  In short-circuit mode
-    no line is pulled after the first non-verified qubit.  The solver, when
-    the backend asks for one, is ``cfg.solver``.
+    no line is pulled after the first non-verified qubit.
     """
-    if cfg.backend == "smt" and cfg.solver is None:
-        raise SolverUnavailableError("smt backend requested but no solver is configured")
+    label = "weights" if cfg.solver is None else "smt"
     report = VerificationReport(qubits=m, gate_count=gate_count, overall=VERIFIED)
     i = 0
     for i, line in enumerate(lines, start=1):
         if i > m:
             raise ValueError(f"more than {m} lines for {m} qubits")
-        rec = _verify_one_qubit(line, i, m, cfg)
+        start = time.perf_counter()
+        verdict = _verify_one_qubit(line, i, m, cfg.solver)
+        rec = QubitRecord(verdict=verdict, backend=label, millis=(time.perf_counter() - start) * 1000.0)
         report.records.append(rec)
         if rec.verdict.status != VERIFIED and not cfg.exhaustive:
             break

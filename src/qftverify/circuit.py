@@ -43,7 +43,6 @@ __all__ = [
     "generate_qft",
     "iter_qft_gates",
     "qft_line",
-    "qft_line_gates",
     "qft_gate_count",
     "inject_error",
     "parse_circuit",
@@ -222,13 +221,6 @@ def qft_line(m: int, i: int) -> tuple[list[int], list[int]]:
     return naturals[2:m - i + 2], naturals[i + 1:m + 1]
 
 
-def qft_line_gates(m: int, i: int) -> Iterator[GateInstance]:
-    """Line i's gates in the canonical circuit: its H, then its rotations."""
-    yield GateInstance("H", i)
-    for n, control in zip(*qft_line(m, i)):
-        yield GateInstance("R", i, n=n, control=control)
-
-
 def iter_qft_gates(m: int) -> Iterator[GateInstance]:
     """Stream the canonical circuit's gates without materializing them.
 
@@ -240,7 +232,9 @@ def iter_qft_gates(m: int) -> Iterator[GateInstance]:
     if m < 1:
         raise CircuitError(f"m must be >= 1, got {m}")
     for i in range(1, m + 1):
-        yield from qft_line_gates(m, i)
+        yield GateInstance("H", i)
+        for n, control in zip(*qft_line(m, i)):
+            yield GateInstance("R", i, n=n, control=control)
 
 
 def _qft_circuit(m: int, lines: Iterable[int]) -> CircuitDescription:

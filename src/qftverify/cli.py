@@ -65,13 +65,12 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.timeout is not None and not args.timeout > 0:
-        raise ValueError(f"--timeout must be a positive number of seconds, got {args.timeout}")
-    if args.backend == "anf":
+    smt_mod.check_timeout(args.timeout, "--timeout")
+    if args.backend == "weights":
         ignored = [flag for flag, value in (("--solver", args.solver), ("--timeout", args.timeout))
                    if value is not None]
         if ignored:
-            raise ValueError(f"--backend anf does not take {', '.join(ignored)}")
+            raise ValueError(f"--backend weights does not take {', '.join(ignored)}")
     circuit = _read_circuit(args.input)
     solver = None
     if args.backend == "smt":
@@ -81,7 +80,7 @@ def _cmd_verify(args) -> int:
             return EXIT_SOLVER
         if args.timeout is not None:
             solver = smt_mod.SolverConfig(command=solver.command, timeout_s=args.timeout)
-    cfg = CheckerConfig(backend=args.backend, exhaustive=args.exhaustive, solver=solver)
+    cfg = CheckerConfig(exhaustive=args.exhaustive, solver=solver)
     report = verify_circuit(circuit, cfg)
     if args.json:
         print(report.to_json())
@@ -128,9 +127,13 @@ def _cmd_emit_smt(args) -> int:
     return EXIT_VERIFIED
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(flag: str, text: str, item=str) -> list:
+    """The comma-separated values of ``flag``, of which there must be one."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise ValueError(f"{flag} names nothing: {text!r}")
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return list(map(item, parts))
     except ValueError:
         raise CircuitError(f"expected a comma-separated integer list, got {text!r}")
 
@@ -141,11 +144,12 @@ def _cmd_bench(args) -> int:
                                             ("--huge", args.huge)) if value not in (None, False)]
         if ignored:
             raise ValueError(f"--position-sweep does not take {', '.join(ignored)}")
-        positions = _parse_int_list(args.positions) if args.positions else None
-        if positions is None:
+        if args.positions is None:
             m = args.position_sweep
             step = max(1, (m - 1) // 7)
             positions = sorted({min(m - 1, 1 + k * step) for k in range(8)})
+        else:
+            positions = _parse_list("--positions", args.positions, int)
         result = bench_mod.run_position_sweep(
             args.position_sweep, positions, repeats=args.repeats,
             measure_memory=not args.no_memory,
@@ -153,16 +157,12 @@ def _cmd_bench(args) -> int:
     elif args.positions is not None:
         raise ValueError("--positions needs --position-sweep")
     else:
-        sizes = _parse_int_list(args.sizes or "")
-        if not sizes:
+        if args.sizes is None:
             raise ValueError("bench needs --sizes or --position-sweep")
-        scenarios = (
-            [s.strip() for s in args.scenarios.split(",") if s.strip()]
-            if args.scenarios else list(bench_mod.TABLE_SCENARIOS)
-        )
         cfg = bench_mod.BenchConfig(
-            sizes=sizes,
-            scenarios=scenarios,
+            sizes=_parse_list("--sizes", args.sizes, int),
+            scenarios=(list(bench_mod.TABLE_SCENARIOS) if args.scenarios is None
+                       else _parse_list("--scenarios", args.scenarios)),
             repeats=args.repeats,
             allow_huge=args.huge,
             measure_memory=not args.no_memory,
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the correctness property per qubit")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--backend", choices=("anf", "smt"), default="anf")
+    p.add_argument("--backend", choices=("weights", "smt"), default="weights")
     p.add_argument("--exhaustive", action="store_true",
                    help="check every qubit instead of stopping at the first failure")
     p.add_argument("--json", action="store_true")

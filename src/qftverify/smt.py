@@ -41,7 +41,9 @@ __all__ = [
     "ModelAssignment",
     "ModelParseError",
     "SOLVER_ENV_VAR",
+    "MAX_TIMEOUT_S",
     "solver_from_env",
+    "check_timeout",
     "emit_smt2",
     "invoke_solver",
     "parse_model",
@@ -56,6 +58,18 @@ class ModelParseError(Exception):
     """Solver output did not contain a readable model."""
 
 
+# the longest wait subprocess can honour: it reads the solver's output
+# through poll or epoll, whose timeout is a C int of milliseconds
+MAX_TIMEOUT_S = (2 ** 31 - 1) / 1000
+
+
+def check_timeout(timeout_s: float | None, name: str = "timeout_s") -> None:
+    """Raise ValueError unless ``timeout_s`` is None or in (0, MAX_TIMEOUT_S]."""
+    if timeout_s is not None and not 0 < timeout_s <= MAX_TIMEOUT_S:
+        raise ValueError(f"{name} must be a positive number of seconds "
+                         f"up to {MAX_TIMEOUT_S}, got {timeout_s}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """How to launch the solver: a command string (shell-style split) that
@@ -63,6 +77,9 @@ class SolverConfig:
 
     command: str = "z3"
     timeout_s: float | None = None
+
+    def __post_init__(self):
+        check_timeout(self.timeout_s)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def test_criterion_2_correct_circuits_verified():
         order = reversed(range(len(circuits))) if sweep % 2 else range(len(circuits))
         for k in order:
             for _ in range(2):
-                report = verify_circuit(circuits[k], CheckerConfig(backend="anf"))
+                report = verify_circuit(circuits[k], CheckerConfig())
                 assert report.overall == VERIFIED, f"m={circuits[k].m} not verified"
                 assert len(report.records) == circuits[k].m
                 millis = [rec.millis for rec in report.records]
@@ -176,16 +176,16 @@ def test_criterion_7_smt_agreement(error_sweep):
     if solver is None:
         print("\ncriterion 7 (solver agreement): SKIP - no bit-vector solver configured")
         pytest.skip("no QF_BV solver configured; set QFTV_SOLVER or install one on PATH")
-    smt_cfg = CheckerConfig(backend="smt", solver=solver)
+    smt_cfg = CheckerConfig(solver=solver)
     compared = 0
     for m in (16, 32, 64):
         circuit = generate_qft(m)
         assert verify_circuit(circuit, smt_cfg).overall == VERIFIED
         compared += 1
     cases, _ = error_sweep
-    for m, spec, circuit, anf_report in cases:
+    for m, spec, circuit, weights_report in cases:
         smt_report = verify_circuit(circuit, smt_cfg)
-        assert smt_report.overall == anf_report.overall, f"m={m} {spec}"
+        assert smt_report.overall == weights_report.overall, f"m={m} {spec}"
         compared += 1
         for rec in smt_report.records:
             verdict = rec.verdict

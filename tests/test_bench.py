@@ -44,7 +44,7 @@ class TestRunBench:
             else:
                 assert rec.verdict == "violation"
             assert rec.time_s >= 0
-            assert rec.backend == "anf"
+            assert rec.backend == "weights"
 
     def test_truncation_marker(self, tmp_path):
         result = run_bench(BenchConfig(sizes=[8, 4096], scenarios=["correct"]))

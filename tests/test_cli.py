@@ -152,7 +152,7 @@ class TestErrors:
         assert main(["verify"]) == 3
         assert main(["verify", "-i", str(qft3_file), "--workers", "2"]) == 3
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
-        # the structural backend always decides, so there is no fallback mode
+        # the weights always decide, so there is no fallback mode
         assert main(["verify", "-i", str(qft3_file), "--backend", "auto"]) == 3
         assert "invalid choice: 'auto'" in capsys.readouterr().err
 
@@ -196,23 +196,36 @@ class TestErrors:
         (["bench", "--position-sweep", "2"], "needs m >= 3, got 2"),
         (["verify", "-i", "{file}", "--timeout", "0"], "--timeout must be a positive"),
         (["verify", "-i", "{file}", "--timeout", "-1"], "--timeout must be a positive"),
-        (["verify", "-i", "{file}", "--solver", "z3"], "--backend anf does not take --solver"),
-        (["verify", "-i", "{file}", "--backend", "anf", "--timeout", "5"],
-         "--backend anf does not take --timeout"),
+        # an unreadable input shows that the timeout is checked first
+        (["verify", "-i", "/nonexistent/qft.json", "--backend", "smt", "--solver", "z3",
+          "--timeout", "inf"], "--timeout must be a positive number of seconds up to"),
+        (["verify", "-i", "/nonexistent/qft.json", "--backend", "smt", "--solver", "z3",
+          "--timeout", "1e300"], "got 1e+300"),
+        (["verify", "-i", "{file}", "--solver", "z3"], "--backend weights does not take --solver"),
+        (["verify", "-i", "{file}", "--backend", "weights", "--timeout", "5"],
+         "--backend weights does not take --timeout"),
+        (["verify", "-i", "{file}", "--backend", "anf"], "invalid choice: 'anf'"),
         (["bench"], "bench needs --sizes or --position-sweep"),
-        (["bench", "--sizes", ","], "bench needs --sizes or --position-sweep"),
+        (["bench", "--sizes", ","], "--sizes names nothing: ','"),
+        (["bench", "--sizes", "8", "--scenarios", ","], "--scenarios names nothing: ','"),
+        (["bench", "--position-sweep", "8", "--positions", ","], "--positions names nothing: ','"),
         (["bench", "--sizes", "8", "--repeats", "0"], "repeats must be at least 1, got 0"),
         (["bench", "--position-sweep", "8", "--repeats", "-1"], "repeats must be at least 1, got -1"),
     ], ids=["repeated-spec-field", "positions-alone", "sweep-sizes", "sweep-scenarios",
             "sweep-huge", "sweep-m1", "sweep-m2", "timeout-0", "timeout-negative",
-            "anf-solver", "anf-timeout", "bench-no-sizes", "bench-empty-sizes", "repeats-0",
-            "sweep-repeats-negative"])
+            "timeout-inf", "timeout-1e300", "anf-solver", "anf-timeout", "backend-anf",
+            "bench-no-sizes", "bench-empty-sizes", "bench-empty-scenarios",
+            "sweep-empty-positions", "repeats-0", "sweep-repeats-negative"])
     def test_rejected_arguments_exit_3(self, qft3_file, capsys, argv, message):
         # a flag the command would ignore or cannot honour is a usage error
         assert main([str(qft3_file) if a == "{file}" else a for a in argv]) == 3
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert message in captured.err and captured.out == ""
+        err = captured.err
+        if err.startswith("usage: "):
+            # argparse's own rejection: its usage block, then one error line
+            err = err.partition(f"\nqftv {argv[0]}: ")[2]
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and captured.out == ""
 
     def test_smt_backend_without_solver_is_solver_error(self, qft3_file, capsys, monkeypatch):
         monkeypatch.setenv("QFTV_SOLVER", "definitely-not-a-solver-xyz")

@@ -20,6 +20,7 @@ from qftverify.circuit import (
     inject_error,
 )
 from qftverify.smt import (
+    MAX_TIMEOUT_S,
     ModelParseError,
     SolverConfig,
     emit_smt2,
@@ -206,6 +207,19 @@ class TestInvokeSolver:
         assert result.status == "unknown"
         assert result.reason == "timeout"
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf"), 1e300, 9e9])
+    def test_timeout_out_of_range_is_rejected(self, timeout):
+        # 9e9 s is below threading.TIMEOUT_MAX, but subprocess waits for the
+        # solver's output through epoll, in milliseconds held in a C int
+        with pytest.raises(ValueError, match="timeout_s must be a positive number of seconds"):
+            SolverConfig(timeout_s=timeout)
+
+    def test_longest_timeout_is_honoured(self, tmp_path):
+        fake = fake_solver(tmp_path, "echo unsat\n")
+        result = invoke_solver(SolverConfig(command=str(fake), timeout_s=MAX_TIMEOUT_S),
+                               self._obligation(tmp_path))
+        assert result.status == "unsat"
+
 
 class TestMinisolverEndToEnd:
     def test_correct_circuit_obligations_unsat(self, tmp_path):
@@ -234,7 +248,7 @@ class TestMinisolverEndToEnd:
 
     def test_smt_backend_report(self):
         mutated = inject_error(generate_qft(4), IncorrectGateOrder(target=1, ordinal=1, wrong_n=3))
-        report = verify_circuit(mutated, CheckerConfig(backend="smt", solver=minisolver_config()))
+        report = verify_circuit(mutated, CheckerConfig(solver=minisolver_config()))
         assert report.overall == VIOLATION
         record = report.records[-1]
         assert record.backend == "smt"
@@ -247,14 +261,14 @@ class TestMinisolverEndToEnd:
         # every single-error mutant of the 4-qubit circuit, both backends
         base = generate_qft(4)
         circuits = [base] + [inject_error(base, s) for s in enumerate_error_specs(base)]
-        solver_cfg = CheckerConfig(backend="smt", solver=minisolver_config())
+        solver_cfg = CheckerConfig(solver=minisolver_config())
         for c in circuits:
-            anf_report = verify_circuit(c)
+            weights_report = verify_circuit(c)
             smt_report = verify_circuit(c, solver_cfg)
-            assert anf_report.overall == smt_report.overall
-            anf_status = {r.verdict.qubit: r.verdict.status for r in anf_report.records}
+            assert weights_report.overall == smt_report.overall
+            weights_status = {r.verdict.qubit: r.verdict.status for r in weights_report.records}
             smt_status = {r.verdict.qubit: r.verdict.status for r in smt_report.records}
-            assert anf_status == smt_status
+            assert weights_status == smt_status
 
     def test_smt_model_revalidated_by_coefficients(self):
         # five R(6) gates on distinct controls share one position, so the
@@ -265,7 +279,7 @@ class TestMinisolverEndToEnd:
         gates += [GateInstance("R", 1, n=m, control=k) for k in range(2, m + 1)]
         gates += [GateInstance("H", k) for k in range(2, m + 1)]
         c = CircuitDescription(m, tuple(gates))
-        cfg = CheckerConfig(backend="smt", solver=minisolver_config())
+        cfg = CheckerConfig(solver=minisolver_config())
         record = verify_circuit(c, cfg).records[0]
         assert record.backend == "smt"
         verdict = record.verdict
@@ -278,8 +292,7 @@ class TestMinisolverEndToEnd:
         # b2 alone separates line 1 of this mutant; b1, b3 and b4 default to false
         fake = fake_solver(tmp_path, 'echo sat\necho "(define-fun b2 () Bool true)"\n')
         mutated = inject_error(generate_qft(4), IncorrectGateOrder(target=1, ordinal=1, wrong_n=3))
-        report = verify_circuit(mutated, CheckerConfig(backend="smt",
-                                                       solver=SolverConfig(command=str(fake))))
+        report = verify_circuit(mutated, CheckerConfig(solver=SolverConfig(command=str(fake))))
         verdict = report.records[0].verdict
         assert verdict.status == VIOLATION
         assert verdict.counterexample == {1: 0, 2: 1, 3: 0, 4: 0}
@@ -288,8 +301,7 @@ class TestMinisolverEndToEnd:
     def test_model_that_does_not_separate_is_unresolved(self, tmp_path):
         # a correct line cannot be refuted, whatever model the solver claims
         fake = fake_solver(tmp_path, 'echo sat\necho "(define-fun b1 () Bool true)"\n')
-        report = verify_circuit(generate_qft(3), CheckerConfig(backend="smt",
-                                                               solver=SolverConfig(command=str(fake))))
+        report = verify_circuit(generate_qft(3), CheckerConfig(solver=SolverConfig(command=str(fake))))
         assert report.overall == UNRESOLVED
         assert "failed local re-validation" in report.records[0].verdict.detail
 
@@ -297,7 +309,7 @@ class TestMinisolverEndToEnd:
         slow = tmp_path / "slow-solver"
         slow.write_text("#!/bin/sh\nsleep 5\necho unsat\n")
         slow.chmod(slow.stat().st_mode | stat.S_IXUSR)
-        cfg = CheckerConfig(backend="smt", solver=SolverConfig(command=str(slow), timeout_s=0.2))
+        cfg = CheckerConfig(solver=SolverConfig(command=str(slow), timeout_s=0.2))
         report = verify_circuit(generate_qft(2), cfg)
         assert report.overall == UNRESOLVED
         assert "timeout" in report.records[0].verdict.detail
