@@ -49,7 +49,6 @@ from .smt import (
     emit_smt2,
     invoke_solver,
     parse_model,
-    solver_from_env,
     write_obligations,
 )
 from .oracle import (

@@ -16,19 +16,21 @@ errors that expose structural circuit defects.
 
 Controls are read at their initial values, so line i's phase is linear in
 the inputs: sum_k b_k * c_k mod 1, where the weight c_k is 2**-1 from the H
-when k = i plus 2**-n for each R(n) that k controls.  _line_weights folds a
-line into these weights, and the checker decides it by comparing each weight
-with its target.  The typing does not enforce that reading: a control line
-already past its H is still read at its initial bit, so such a circuit can be
-verified although a real controlled phase differs (ROADMAP item 1).
+when k = i plus 2**-n for each R(n) that k controls.  _line_taps lists each
+control's orders n, and _weight sums them as an integer numerator over 2**m:
+Python's integer addition is the carry chain, and masking to m bits drops
+the wrap of a full turn.  The checker, its solver-model check and the oracle
+all read a line's phase this one way.  The typing does not enforce the
+initial-value reading: a control line already past its H is still read at
+its initial bit, so such a circuit can be verified although a real
+controlled phase differs (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from itertools import count
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .circuit import CircuitDescription
 
@@ -123,43 +125,20 @@ def _check_line(m: int, i: int, orders: Sequence[int], controls: Sequence[int]) 
         raise ValueError(f"control {high if high > m else low} out of range 1..{m}")
 
 
-def _fold(orders: Sequence[int]) -> list[int]:
-    """The orders n whose bit is set in the sum of 2**-n over ``orders``,
-    modulo 1, least significant first.
-
-    Counts of one order carry to the next coarser order, two for one, and
-    the carry out of order 1 is the modulo-one wrap: it is dropped.  Between
-    two orders present the carry halves at each step, so the work is
-    O(len(orders)), whatever the width.
-    """
-    counts = Counter(orders)
-    bits: list[int] = []
-    carry = p = 0  # carry units of 2**-p wait at order p
-    for n in sorted(counts, reverse=True):
-        while carry and p > n:
-            if carry & 1:
-                bits.append(p)
-            carry >>= 1
-            p -= 1
-        carry += counts[n]
-        p = n
-    while carry and p:
-        if carry & 1:
-            bits.append(p)
-        carry >>= 1
-        p -= 1
-    return bits
-
-
-def _line_weights(m: int, i: int, orders: Sequence[int],
-                  controls: Sequence[int]) -> dict[int, list[int]]:
-    """Line i's per-control weights: c_k as the orders of its set bits (see
-    _fold), for every k that the H or a rotation on the line taps.  Every
-    other weight is zero.  Raises ValueError for a line that _check_line
-    rejects.
+def _line_taps(m: int, i: int, orders: Sequence[int],
+               controls: Sequence[int]) -> dict[int, list[int]]:
+    """Line i's raw taps: for every k that the H or a rotation on the line
+    taps, the orders n of the terms 2**-n that b_k adds, so c_k is their
+    _weight.  Every other weight is zero.  Raises ValueError for a line
+    that _check_line rejects.
     """
     _check_line(m, i, orders, controls)
     taps: dict[int, list[int]] = {i: [1]}  # the H loads b_i at 2**-1
     for k, n in zip(controls, orders):
         taps.setdefault(k, []).append(n)
-    return {k: ns if len(ns) == 1 else _fold(ns) for k, ns in taps.items()}
+    return taps
+
+
+def _weight(m: int, orders: Iterable[int]) -> int:
+    """The sum of 2**-n over ``orders``, modulo 1, as a numerator over 2**m."""
+    return sum(1 << m - n for n in orders) & ((1 << m) - 1)

@@ -4,12 +4,14 @@ A circuit is functionally correct when, for every qubit i, its final
 fractional bit-vector equals the target form whose bit p is the input
 variable b(i+p-1) for p <= m-i+1 and constant 0 beyond.  Each qubit is
 decided independently.  The line's phase is sum_k b_k * c_k mod 1 (see
-abstraction), which is linear over Z/2**m, so it equals the target on every
-input exactly when each weight c_k equals its target 2**-(k-i+1) for
-k >= i and 0 for k < i.  The input b = e_k, with only b_k set, separates
-any k that differs, so every refutation carries a counterexample by
-construction.  A line equal to the textbook one is verified by one list
-comparison before any of this.
+abstraction), each weight an integer numerator over 2**m, so the phase is
+linear over Z/2**m and equals the target on every input exactly when each
+weight c_k equals its target 2**-(k-i+1) for k >= i and 0 for k < i.  A
+control tapped once is compared by its order alone; only the others are
+summed.  The input b = e_k, with only b_k set, separates any k that
+differs, so every refutation carries a counterexample by construction.  A
+line equal to the textbook one is verified by one list comparison before
+any of this.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import smt
-from .abstraction import CircuitTypeError, Line, _fold, _line_weights, bits_to_string, group_gates_by_line
+from .abstraction import CircuitTypeError, Line, _line_taps, _weight, bits_to_string, group_gates_by_line
 from .circuit import CircuitDescription, qft_line
 
 __all__ = [
@@ -166,27 +168,31 @@ def _unrotated(i: int, m: int) -> QubitVerdict:
                     "line never receives an H gate; its output stays an unrotated control wire")
 
 
-def _phase_bits(set_orders: Iterable[int], m: int) -> tuple[int, ...]:
-    """The m fractional bits of a phase given by the orders of its set bits."""
+def _phase_bits(phase: int, m: int) -> tuple[int, ...]:
+    """The m fractional bits of the phase ``phase / 2**m``, bit 1 most significant."""
     bits = [0] * m
-    for n in set_orders:
-        bits[n - 1] = 1
+    while phase:  # one step per set bit, lowest first
+        low = phase & -phase
+        bits[m - low.bit_length()] = 1
+        phase ^= low
     return tuple(bits)
 
 
 def _decide_line(m: int, i: int, orders: Sequence[int], controls: Sequence[int]) -> QubitVerdict:
     """Decide line i by its per-control weights (see the module docstring)."""
-    weights = _line_weights(m, i, orders, controls)
-    # a tapped k differs unless its weight is one-hot at k-i+1, or zero for k < i
-    k = min((k for k, bits in weights.items() if bits != [k - i + 1] and (bits or k >= i)),
+    taps = _line_taps(m, i, orders, controls)
+    # a tapped k differs unless its weight is 2**-(k-i+1), or zero for k < i;
+    # one tap matches only as R(k-i+1), so only the others are summed
+    k = min((k for k, ns in taps.items() if ns != [k - i + 1] and (
+                len(ns) == 1 or _weight(m, ns) != (1 << m - (k - i + 1) if k >= i else 0))),
             default=m + 1)
     # an untapped k weighs zero; this scan stops at the first one, so it is
     # no longer than the line
-    k = next((j for j in range(i, k) if j not in weights), k)
+    k = next((j for j in range(i, k) if j not in taps), k)
     if k > m:
         return QubitVerdict(qubit=i, status=VERIFIED)
     target = f"2^-{k - i + 1}" if k >= i else "0"
-    verdict = _witness(i, m, _assignment((k,), m), _phase_bits(weights.get(k, ()), m),
+    verdict = _witness(i, m, _assignment((k,), m), _phase_bits(_weight(m, taps.get(k, ())), m),
                        f"coefficient of b{k} differs from {target}")
     if verdict is None:
         raise AssertionError(f"qubit {i}: input b{k} failed to separate actual from expected")
@@ -197,8 +203,9 @@ def _solver_verdict(solver: smt.SolverConfig, i: int, m: int, line: Line) -> Qub
     """Decide one qubit, whose line has an H, with the external solver.
 
     A sat model is re-validated by evaluating the line's phase on the
-    model's input values, sum_k b_k * c_k mod 1, before a violation is
-    reported, so a nonconforming solver cannot fabricate a counterexample.
+    model's input values, sum_k b_k * c_k mod 1 over the line's taps, before
+    a violation is reported, so a nonconforming solver cannot fabricate a
+    counterexample.
     """
     result = smt.solve_line(solver, line, i, m)
     if result.status == "unsat":
@@ -207,15 +214,13 @@ def _solver_verdict(solver: smt.SolverConfig, i: int, m: int, line: Line) -> Qub
         return QubitVerdict(qubit=i, status=UNRESOLVED,
                             detail=f"solver {result.status}: {result.reason}")
     assignment = dict(result.model.values)
-    orders, controls = line
-    taps = [n for n, k in zip(orders, controls) if assignment[k]]
-    if assignment[i]:
-        taps.append(1)  # the H
+    taps = _line_taps(m, i, *line)
+    phase = _weight(m, (n for k, ns in taps.items() if assignment[k] for n in ns))
     detail = ""
     if result.model.defaulted:
         names = ", ".join(f"b{k}" for k in result.model.defaulted)
         detail = f"model omitted {names}; defaulted to false"
-    verdict = _witness(i, m, assignment, _phase_bits(_fold(taps), m), detail)
+    verdict = _witness(i, m, assignment, _phase_bits(phase, m), detail)
     if verdict is None:
         return QubitVerdict(qubit=i, status=UNRESOLVED,
                             detail="solver model failed local re-validation; treating as unresolved")
@@ -243,7 +248,7 @@ def verify_lines(m: int, gate_count: int, lines: Iterable[Line],
     line (columns of unequal length, or an order or control outside 1..m)
     raises ValueError, and so does a line pulled after line m, or lines
     that end before line m unless a failed qubit stopped the run first.
-    Per-qubit work (folding that line's gates and checking its weights) is
+    Per-qubit work (summing that line's taps and checking its weights) is
     timed separately so reported times reflect the independent per-qubit
     obligations rather than the whole-circuit sweep.  In short-circuit mode
     no line is pulled after the first non-verified qubit.

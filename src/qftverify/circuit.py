@@ -2,10 +2,11 @@
 
 A circuit is a program-ordered sequence of gates over ``m`` qubit lines.
 Only two gate kinds exist: H on a target line, and a controlled rotation
-R(n) of angle 2*pi/2**n on a target line.  Rotation controls are *indices of
-initial qubit lines*: a control always means "the value this line carried
-before any gate touched it", never the line's evolved state.  Qubit and gate
-indices are 1-based throughout.
+R(n) of angle 2*pi/2**n on a target line.  A rotation's control is the
+index of a qubit line.  The checker reads it as "the value this line carried
+before any gate touched it"; that reading is sound only when the rotation
+comes before the control line's H, which the wire typing does not yet
+enforce (ROADMAP item 1).  Qubit and gate indices are 1-based throughout.
 
 A circuit is held as three integer columns in program order: each gate's
 target, rotation order and control, with an H stored as order 0 and control

@@ -66,20 +66,12 @@ def _cmd_inject(args) -> int:
 
 def _cmd_verify(args) -> int:
     smt_mod.check_timeout(args.timeout, "--timeout")
-    if args.backend == "weights":
-        ignored = [flag for flag, value in (("--solver", args.solver), ("--timeout", args.timeout))
-                   if value is not None]
-        if ignored:
-            raise ValueError(f"--backend weights does not take {', '.join(ignored)}")
-    circuit = _read_circuit(args.input)
     solver = None
-    if args.backend == "smt":
-        solver = smt_mod.solver_from_env(args.solver)
-        if solver is None:
-            print("error: no usable solver; set QFTV_SOLVER or pass --solver", file=sys.stderr)
-            return EXIT_SOLVER
-        if args.timeout is not None:
-            solver = smt_mod.SolverConfig(command=solver.command, timeout_s=args.timeout)
+    if args.solver is not None:
+        solver = smt_mod.SolverConfig(command=args.solver, timeout_s=args.timeout)
+    elif args.timeout is not None:
+        raise ValueError("--timeout needs --solver")
+    circuit = _read_circuit(args.input)
     cfg = CheckerConfig(exhaustive=args.exhaustive, solver=solver)
     report = verify_circuit(circuit, cfg)
     if args.json:
@@ -212,13 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the correctness property per qubit")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--backend", choices=("weights", "smt"), default="weights")
     p.add_argument("--exhaustive", action="store_true",
                    help="check every qubit instead of stopping at the first failure")
     p.add_argument("--json", action="store_true")
     p.add_argument("--solver", default=None,
-                   help="solver command (overridden by QFTV_SOLVER); used by the smt backend")
-    p.add_argument("--timeout", type=float, default=None, help="per-obligation solver timeout (s)")
+                   help="decide every qubit with this QF_BV solver command instead of by weights")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="per-obligation solver timeout (s); needs --solver")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle-check", help="cross-validate against dense simulation (small m)")

@@ -5,17 +5,15 @@ inputs with concrete gate unitaries and cross-validates the rotation
 abstraction against (a) the per-qubit phases predicted by the per-control
 weights the checker decides with and (b) the textbook transform formula.
 The simulation shares no code with the checker beyond the circuit IR;
-cross_check calls group_gates_by_line and _line_weights only because they
-are what it checks.
+cross_check calls group_gates_by_line, _line_taps and _weight only because
+they are what it checks.  A rotation is the real two-qubit controlled
+phase, so a circuit whose rotation reads a control line after that line's
+H, which the checker reads at its initial bit, fails the product check.
 
 Basis state indexing puts qubit 1 in the most significant position: input
-bits (b1, .., bm) prepare the state with index sum(b_i * 2**(m-i)).  Rotation
-controls are evaluated on the control line's *initial* value, which for basis
-inputs is a classical bit; this coincides with the two-qubit controlled phase
-whenever the control line has not yet passed its own H (always true in
-canonical circuits) and extends the IR's initial-tap control semantics to
-mutated gate orders.  numpy is imported by the functions that use it, so
-importing the package does not load it.
+bits (b1, .., bm) prepare the state with index sum(b_i * 2**(m-i)).  numpy
+is imported by the functions that use it, so importing the package does not
+load it.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .abstraction import _line_weights, group_gates_by_line
+from .abstraction import _line_taps, _weight, group_gates_by_line
 from .circuit import CircuitDescription, generate_qft
 
 if TYPE_CHECKING:
@@ -65,7 +63,9 @@ def simulate(c: CircuitDescription, input_bits: Sequence[int],
              cap: int = SIM_CAP_DEFAULT) -> np.ndarray:
     """Statevector after running ``c`` on the basis input ``input_bits``.
 
-    Norm is asserted to stay within 1e-9 of one after every gate.
+    A rotation multiplies the amplitudes in which both its target and its
+    control line are 1.  Norm is asserted to stay within 1e-9 of one after
+    every gate.
     """
     import numpy as np
 
@@ -81,9 +81,9 @@ def simulate(c: CircuitDescription, input_bits: Sequence[int],
         axis = target - 1
         if not n:  # an H
             tensor = np.moveaxis(np.tensordot(h_matrix, tensor, axes=([1], [axis])), 0, axis)
-        elif bits[control - 1]:
+        else:
             sel: list = [slice(None)] * m
-            sel[axis] = 1
+            sel[axis] = sel[control - 1] = 1
             tensor[tuple(sel)] *= np.exp(2j * np.pi / (2 ** n))
         norm_sq = float(np.sum(np.abs(tensor) ** 2))
         if abs(norm_sq - 1.0) > 1e-9:
@@ -230,9 +230,8 @@ def cross_check(c: CircuitDescription, cap: int = SIM_CAP_DEFAULT) -> OracleRepo
     m = c.m
     _check_cap(m, cap)
     modulus = 2 ** m
-    # each weight as an integer numerator over 2**m
     weights = [None if line is None else
-               {k: sum(1 << (m - n) for n in bits) for k, bits in _line_weights(m, i, *line).items()}
+               {k: _weight(m, ns) for k, ns in _line_taps(m, i, *line).items()}
                for i, line in enumerate(group_gates_by_line(c), start=1)]
     canonical = c == generate_qft(m)
     checks: list[InputCheck] = []

@@ -15,17 +15,16 @@ The declarations and one-hots of one width are built once and shared by
 every qubit's file.
 
 Solvers are driven strictly as child processes; nothing links against a
-solver library.  The command comes from configuration, with the QFTV_SOLVER
-environment variable taking precedence.
+solver library.  The command is SolverConfig's; a sat model is read for
+the width its caller gives, and the checker re-validates it before it
+reports a violation.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import re
 import shlex
-import shutil
 import subprocess
 import tempfile
 import time
@@ -40,9 +39,7 @@ __all__ = [
     "SolverResult",
     "ModelAssignment",
     "ModelParseError",
-    "SOLVER_ENV_VAR",
     "MAX_TIMEOUT_S",
-    "solver_from_env",
     "check_timeout",
     "emit_smt2",
     "invoke_solver",
@@ -50,9 +47,6 @@ __all__ = [
     "write_obligations",
     "solve_line",
 ]
-
-SOLVER_ENV_VAR = "QFTV_SOLVER"
-
 
 class ModelParseError(Exception):
     """Solver output did not contain a readable model."""
@@ -79,6 +73,8 @@ class SolverConfig:
     timeout_s: float | None = None
 
     def __post_init__(self):
+        if not shlex.split(self.command):
+            raise ValueError("the solver command is empty")
         check_timeout(self.timeout_s)
 
 
@@ -102,16 +98,6 @@ class SolverResult:
     model: ModelAssignment | None = None
     reason: str = ""
     wall_s: float = 0.0
-
-
-def solver_from_env(default_command: str | None = None) -> SolverConfig | None:
-    """Solver configuration from QFTV_SOLVER (or a default), or None when the
-    executable cannot be found on PATH."""
-    command = os.environ.get(SOLVER_ENV_VAR, "").strip() or default_command or "z3"
-    parts = shlex.split(command)
-    if not parts or shutil.which(parts[0]) is None:
-        return None
-    return SolverConfig(command=command)
 
 
 @functools.lru_cache(maxsize=1)
@@ -207,23 +193,15 @@ def parse_model(output: str, m: int) -> ModelAssignment:
     return ModelAssignment(values=values, defaulted=defaulted)
 
 
-def _declared_width(text: str) -> int:
-    indices = [int(s) for s in re.findall(r"\(declare-const\s+b(\d+)\s+Bool\s*\)", text)]
-    if not indices:
-        raise ModelParseError("obligation file declares no input variables")
-    return max(indices)
-
-
-def invoke_solver(cfg: SolverConfig, obligation_path: Path | str) -> SolverResult:
-    """Run the solver on one obligation file and classify its verdict.
+def invoke_solver(cfg: SolverConfig, obligation_path: Path | str, m: int) -> SolverResult:
+    """Run the solver on one obligation file over b1..bm and classify its verdict.
 
     Timeouts are enforced at the process level (solver-agnostic) and reported
     as Unknown("timeout").  A solver that cannot be launched, or output that
     cannot be classified, becomes a failure result rather than an exception;
     bytes that are not UTF-8 are read as replacement characters.
     """
-    path = Path(obligation_path)
-    argv = shlex.split(cfg.command) + [str(path)]
+    argv = shlex.split(cfg.command) + [str(obligation_path)]
     start = time.perf_counter()
     try:
         proc = subprocess.run(argv, capture_output=True, encoding="utf-8", errors="replace",
@@ -248,7 +226,7 @@ def invoke_solver(cfg: SolverConfig, obligation_path: Path | str) -> SolverResul
     if status == "unknown":
         return SolverResult("unknown", reason="solver returned unknown", wall_s=wall)
     try:
-        model = parse_model(proc.stdout, _declared_width(path.read_text(encoding="utf-8")))
+        model = parse_model(proc.stdout, m)
     except ModelParseError as exc:
         return SolverResult("failure", reason=str(exc), wall_s=wall)
     return SolverResult("sat", model=model, wall_s=wall)
@@ -260,4 +238,4 @@ def solve_line(cfg: SolverConfig, line: Line, i: int, m: int) -> SolverResult:
     with tempfile.TemporaryDirectory(prefix="qftv-smt-") as tmp:
         path = Path(tmp) / f"q{i}.smt2"
         path.write_text(_emit_obligation(line, i, m), encoding="utf-8")
-        return invoke_solver(cfg, path)
+        return invoke_solver(cfg, path, m)

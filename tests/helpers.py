@@ -9,6 +9,12 @@ from qftverify.boolexpr import FALSE, TRUE, and_, sorted_monomials, var
 from qftverify.circuit import CircuitDescription, GateInstance
 
 
+# Line 2 gets its H before it controls R(2) on line 1, so a real controlled
+# phase reads a superposed control where the checker reads b2 (ROADMAP item 1).
+CONTROL_AFTER_ITS_H = CircuitDescription(2, (GateInstance("H", 1), GateInstance("H", 2),
+                                             GateInstance("R", 1, n=2, control=2)))
+
+
 def all_basis_inputs(m: int):
     """Every (b1..bm) bit tuple."""
     return itertools.product((0, 1), repeat=m)

@@ -1,11 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  The solver-agreement criterion needs an external bit-vector solver on
-PATH (or QFTV_SOLVER set) and skips cleanly without one.
+lines.  The solver-agreement criterion needs an external bit-vector solver:
+the command in the QFTV_SOLVER environment variable, or z3 on PATH.  It
+skips cleanly without one.
 """
 
+import os
 import random
+import shlex
+import shutil
 import time
 from fractions import Fraction
 
@@ -21,7 +25,7 @@ from qftverify.circuit import (
     qft_gate_count,
 )
 from qftverify.oracle import cross_check, per_qubit_phase
-from qftverify.smt import solver_from_env
+from qftverify.smt import SolverConfig
 from helpers import all_basis_inputs, bits_as_int, spearman, split_rotation, substitution_sites
 
 # Published gate counts for the benchmark sizes.
@@ -172,11 +176,11 @@ def test_criterion_6_counterexamples_self_validate(error_sweep):
 
 
 def test_criterion_7_smt_agreement(error_sweep):
-    solver = solver_from_env()
-    if solver is None:
+    command = os.environ.get("QFTV_SOLVER", "").strip() or "z3"
+    if shutil.which(shlex.split(command)[0]) is None:
         print("\ncriterion 7 (solver agreement): SKIP - no bit-vector solver configured")
-        pytest.skip("no QF_BV solver configured; set QFTV_SOLVER or install one on PATH")
-    smt_cfg = CheckerConfig(solver=solver)
+        pytest.skip("no QF_BV solver configured; set QFTV_SOLVER or install z3 on PATH")
+    smt_cfg = CheckerConfig(solver=SolverConfig(command=command))
     compared = 0
     for m in (16, 32, 64):
         circuit = generate_qft(m)

@@ -38,7 +38,14 @@ from qftverify.circuit import (
     qft_gate_count,
     qft_line,
 )
-from helpers import bits_as_int, concrete_line_values, eval_poly, split_rotation
+from qftverify.oracle import cross_check
+from helpers import (
+    CONTROL_AFTER_ITS_H,
+    bits_as_int,
+    concrete_line_values,
+    eval_poly,
+    split_rotation,
+)
 
 
 class TestTargetVector:
@@ -293,8 +300,7 @@ class TestControlAfterItsH:
     reads the control line's state at the gate, which the H has already put
     into superposition."""
 
-    CIRCUIT = CircuitDescription(2, (GateInstance("H", 1), GateInstance("H", 2),
-                                     GateInstance("R", 1, n=2, control=2)))
+    CIRCUIT = CONTROL_AFTER_ITS_H
 
     def test_true_controlled_phase_product_is_not_the_transform(self):
         # basis index 2*b1 + b2; a controlled phase is diagonal, so target
@@ -308,6 +314,10 @@ class TestControlAfterItsH:
         assert np.allclose(textbook[[0, 2, 1, 3]], dft)  # the transform, bit-reversed
         product = cr2 @ h2 @ h1
         assert np.abs(product - textbook).max() == pytest.approx(2 ** -0.5)
+
+    def test_oracle_sees_it(self):
+        report = cross_check(self.CIRCUIT)
+        assert not report.ok and not report.abstraction_ok
 
     @pytest.mark.xfail(reason="ROADMAP item 1: a rotation controlled by a line that "
                               "already had its H is read as that line's initial bit")

@@ -1,14 +1,19 @@
 import io
 import json
+import shlex
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qftverify.circuit import generate_qft, serialize_circuit
 from qftverify.cli import main
 from qftverify.smt import emit_smt2
+from helpers import CONTROL_AFTER_ITS_H
+
+MINISOLVER = shlex.join([sys.executable, str(Path(__file__).parent / "minisolver.py")])
 
 
 @pytest.fixture
@@ -98,6 +103,13 @@ class TestOracleCheck:
         text = capsys.readouterr().out
         assert "abstraction ok" in text and "reference mismatch" in text
 
+    def test_control_after_its_h_mismatch(self, tmp_path, capsys):
+        # the simulated rotation reads the superposed control, not its initial bit
+        path = tmp_path / "c.json"
+        path.write_text(serialize_circuit(CONTROL_AFTER_ITS_H))
+        assert main(["oracle-check", "-i", str(path)]) == 1
+        assert "abstraction MISMATCH" in capsys.readouterr().out
+
     def test_json_output(self, qft3_file, capsys):
         assert main(["oracle-check", "-i", str(qft3_file), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -108,6 +120,24 @@ class TestOracleCheck:
         path = tmp_path / "c.json"
         main(["generate", "--qubits", "6", "-o", str(path)])
         assert main(["oracle-check", "-i", str(path), "--max-qubits", "4"]) == 3
+
+
+class TestSolver:
+    def test_correct_circuit_verified(self, qft3_file, capsys):
+        assert main(["verify", "-i", str(qft3_file), "--solver", MINISOLVER, "--exhaustive"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("verified (smt,") == 3 and "overall: verified" in out
+
+    def test_mutant_refuted_with_counterexample(self, qft3_file, tmp_path, capsys):
+        out = tmp_path / "bad.json"
+        main(["inject", "--error", "incorrect-gate:target=1,ordinal=1,wrong-n=3",
+              "-i", str(qft3_file), "-o", str(out)])
+        assert main(["verify", "-i", str(out), "--solver", MINISOLVER, "--timeout", "60",
+                     "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        bad = doc["per_qubit"][0]
+        assert doc["overall"] == "violation" and bad["backend"] == "smt"
+        assert bad["expected"] != bad["actual"] and len(bad["counterexample"]) == 3
 
 
 class TestEmitSmt:
@@ -152,9 +182,9 @@ class TestErrors:
         assert main(["verify"]) == 3
         assert main(["verify", "-i", str(qft3_file), "--workers", "2"]) == 3
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
-        # the weights always decide, so there is no fallback mode
-        assert main(["verify", "-i", str(qft3_file), "--backend", "auto"]) == 3
-        assert "invalid choice: 'auto'" in capsys.readouterr().err
+        # a given solver picks the route, so there is no backend flag
+        assert main(["verify", "-i", str(qft3_file), "--backend", "smt"]) == 3
+        assert "unrecognized arguments: --backend smt" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -197,14 +227,13 @@ class TestErrors:
         (["verify", "-i", "{file}", "--timeout", "0"], "--timeout must be a positive"),
         (["verify", "-i", "{file}", "--timeout", "-1"], "--timeout must be a positive"),
         # an unreadable input shows that the timeout is checked first
-        (["verify", "-i", "/nonexistent/qft.json", "--backend", "smt", "--solver", "z3",
-          "--timeout", "inf"], "--timeout must be a positive number of seconds up to"),
-        (["verify", "-i", "/nonexistent/qft.json", "--backend", "smt", "--solver", "z3",
-          "--timeout", "1e300"], "got 1e+300"),
-        (["verify", "-i", "{file}", "--solver", "z3"], "--backend weights does not take --solver"),
-        (["verify", "-i", "{file}", "--backend", "weights", "--timeout", "5"],
-         "--backend weights does not take --timeout"),
-        (["verify", "-i", "{file}", "--backend", "anf"], "invalid choice: 'anf'"),
+        (["verify", "-i", "/nonexistent/qft.json", "--solver", "z3", "--timeout", "inf"],
+         "--timeout must be a positive number of seconds up to"),
+        (["verify", "-i", "/nonexistent/qft.json", "--solver", "z3", "--timeout", "1e300"],
+         "got 1e+300"),
+        (["verify", "-i", "/nonexistent/qft.json", "--timeout", "5"], "--timeout needs --solver"),
+        (["verify", "-i", "{file}", "--solver", " "], "the solver command is empty"),
+        (["verify", "-i", "{file}", "--backend", "anf"], "unrecognized arguments: --backend anf"),
         (["bench"], "bench needs --sizes or --position-sweep"),
         (["bench", "--sizes", ","], "--sizes names nothing: ','"),
         (["bench", "--sizes", "8", "--scenarios", ","], "--scenarios names nothing: ','"),
@@ -213,7 +242,7 @@ class TestErrors:
         (["bench", "--position-sweep", "8", "--repeats", "-1"], "repeats must be at least 1, got -1"),
     ], ids=["repeated-spec-field", "positions-alone", "sweep-sizes", "sweep-scenarios",
             "sweep-huge", "sweep-m1", "sweep-m2", "timeout-0", "timeout-negative",
-            "timeout-inf", "timeout-1e300", "anf-solver", "anf-timeout", "backend-anf",
+            "timeout-inf", "timeout-1e300", "timeout-without-solver", "empty-solver", "backend-anf",
             "bench-no-sizes", "bench-empty-sizes", "bench-empty-scenarios",
             "sweep-empty-positions", "repeats-0", "sweep-repeats-negative"])
     def test_rejected_arguments_exit_3(self, qft3_file, capsys, argv, message):
@@ -223,22 +252,22 @@ class TestErrors:
         err = captured.err
         if err.startswith("usage: "):
             # argparse's own rejection: its usage block, then one error line
-            err = err.partition(f"\nqftv {argv[0]}: ")[2]
+            # from the subcommand's parser or, for unknown flags, the top one
+            err = err.partition("\nqftv: " if "unrecognized" in err else f"\nqftv {argv[0]}: ")[2]
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err and captured.out == ""
 
-    def test_smt_backend_without_solver_is_solver_error(self, qft3_file, capsys, monkeypatch):
-        monkeypatch.setenv("QFTV_SOLVER", "definitely-not-a-solver-xyz")
-        assert main(["verify", "-i", str(qft3_file), "--backend", "smt"]) == 4
+    def test_unlaunchable_solver_exits_4(self, qft3_file, capsys):
+        assert main(["verify", "-i", str(qft3_file), "--solver", "not-a-solver-xyz"]) == 4
+        assert "cannot launch solver" in capsys.readouterr().out
 
     @pytest.mark.parametrize("script", [b"#!/bin/sh\nprintf 'unsat\\377\\n'\n", b"echo unsat\n"],
                              ids=["non-utf8-output", "no-shebang"])
-    def test_solver_failure_exits_4(self, qft3_file, tmp_path, capsys, monkeypatch, script):
+    def test_solver_failure_exits_4(self, qft3_file, tmp_path, capsys, script):
         solver = tmp_path / "solver"
         solver.write_bytes(script)
         solver.chmod(solver.stat().st_mode | stat.S_IXUSR)
-        monkeypatch.setenv("QFTV_SOLVER", str(solver))
-        assert main(["verify", "-i", str(qft3_file), "--backend", "smt"]) == 4
+        assert main(["verify", "-i", str(qft3_file), "--solver", str(solver)]) == 4
         assert "overall: unresolved" in capsys.readouterr().out
 
 

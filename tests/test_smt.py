@@ -167,43 +167,44 @@ class TestInvokeSolver:
 
     def test_unsat_classification(self, tmp_path):
         fake = fake_solver(tmp_path, "echo unsat\n")
-        result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path))
+        result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path), 2)
         assert result.status == "unsat"
         assert result.wall_s >= 0
 
     def test_sat_with_model(self, tmp_path):
         fake = fake_solver(tmp_path, 'echo sat\necho "(define-fun b1 () Bool true)"\n')
-        result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path))
+        result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path), 2)
         assert result.status == "sat"
         assert result.model.values == {1: 1, 2: 0}
         assert result.model.defaulted == (2,)
 
     def test_sat_without_model_is_failure(self, tmp_path):
         fake = fake_solver(tmp_path, "echo sat\n")
-        result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path))
+        result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path), 2)
         assert result.status == "failure"
 
     def test_garbage_output_is_failure(self, tmp_path):
         fake = fake_solver(tmp_path, "echo lizard\nexit 3\n")
-        result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path))
+        result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path), 2)
         assert result.status == "failure"
         assert "exit 3" in result.reason
 
     def test_unknown_classification(self, tmp_path):
         fake = fake_solver(tmp_path, "echo unknown\n")
-        result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path))
+        result = invoke_solver(SolverConfig(command=str(fake)), self._obligation(tmp_path), 2)
         assert result.status == "unknown"
         assert result.reason == "solver returned unknown"
 
     def test_missing_binary_is_failure(self, tmp_path):
-        result = invoke_solver(SolverConfig(command=str(tmp_path / "nope")), self._obligation(tmp_path))
+        result = invoke_solver(SolverConfig(command=str(tmp_path / "nope")),
+                               self._obligation(tmp_path), 2)
         assert result.status == "failure"
         assert "cannot launch" in result.reason
 
     def test_timeout_is_unknown(self, tmp_path):
         fake = fake_solver(tmp_path, "sleep 5\necho unsat\n")
         result = invoke_solver(SolverConfig(command=str(fake), timeout_s=0.2),
-                               self._obligation(tmp_path))
+                               self._obligation(tmp_path), 2)
         assert result.status == "unknown"
         assert result.reason == "timeout"
 
@@ -217,7 +218,7 @@ class TestInvokeSolver:
     def test_longest_timeout_is_honoured(self, tmp_path):
         fake = fake_solver(tmp_path, "echo unsat\n")
         result = invoke_solver(SolverConfig(command=str(fake), timeout_s=MAX_TIMEOUT_S),
-                               self._obligation(tmp_path))
+                               self._obligation(tmp_path), 2)
         assert result.status == "unsat"
 
 
@@ -225,14 +226,14 @@ class TestMinisolverEndToEnd:
     def test_correct_circuit_obligations_unsat(self, tmp_path):
         paths = write_obligations(generate_qft(3), tmp_path)
         for path in paths:
-            assert invoke_solver(minisolver_config(), path).status == "unsat"
+            assert invoke_solver(minisolver_config(), path, 3).status == "unsat"
 
     def test_wide_obligation_is_unknown_not_a_crash(self, tmp_path):
         # the target nests one concat per bit, past the recursion limit; the
         # solver reads it and gives up at its Boolean cap
         path = tmp_path / "q1.smt2"
         path.write_text(emit_smt2(generate_qft(1100), 1))
-        result = invoke_solver(minisolver_config(), path)
+        result = invoke_solver(minisolver_config(), path, 1100)
         assert result.status == "unknown"
         assert result.reason == "solver returned unknown"
 
@@ -240,7 +241,7 @@ class TestMinisolverEndToEnd:
         mutated = inject_error(generate_qft(3), IncorrectControl(target=1, ordinal=2, wrong_control=2))
         path = tmp_path / "q1.smt2"
         path.write_text(emit_smt2(mutated, 1))
-        result = invoke_solver(minisolver_config(), path)
+        result = invoke_solver(minisolver_config(), path, 3)
         assert result.status == "sat"
         sigma = result.model.values
         outs = run_abstract(mutated)
