@@ -29,7 +29,7 @@ controlled phase differs (ROADMAP item 1).
 from __future__ import annotations
 
 import enum
-from itertools import count
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .circuit import CircuitDescription
@@ -61,8 +61,8 @@ class CircuitTypeError(Exception):
 
 
 def bits_to_string(bits: Sequence[int]) -> str:
-    """Render concrete bits in fractional notation, e.g. (1,0,1) -> "0.101"."""
-    return "0." + "".join(str(b) for b in bits)
+    """Render bits in fractional notation through the last set bit: (1,0,1,0) -> "0.101"."""
+    return "0." + "".join(map(str, bits[:max(compress(count(1), bits), default=1)]))
 
 
 # A typed line: its rotations' orders and controls in program order, or None

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .abstraction import Line, _check_line, group_gates_by_line
-from .checker import VERIFIED, QubitVerdict, _assignment, _unrotated, _witness
+from .checker import VERIFIED, VIOLATION, QubitVerdict, _unrotated
 from .circuit import CircuitDescription
 
 __all__ = [
@@ -265,13 +265,15 @@ def find_counterexample(diff: frozenset[int], m: int) -> dict[int, int]:
     """
     if not diff:
         raise ValueError("cannot extract a counterexample from the zero polynomial")
-    return _assignment(sorted_monomials(diff)[0], m)
+    assignment = dict.fromkeys(range(1, m + 1), 0)
+    assignment.update(dict.fromkeys(sorted_monomials(diff)[0], 1))
+    return assignment
 
 
 def check_qubit(outputs: AbstractOutputs, i: int) -> QubitVerdict:
     """Decide one qubit of precomputed abstract outputs by comparing its
     bits with the target form; a differing bit's difference polynomial
-    gives the counterexample (see find_counterexample)."""
+    gives the counterexample's true inputs (see find_counterexample)."""
     m = outputs.width
     vec = outputs.qubit(i)
     if vec is None:
@@ -286,9 +288,9 @@ def check_qubit(outputs: AbstractOutputs, i: int) -> QubitVerdict:
     true_vars = sorted_monomials(actual_bit ^ target_bit)[0]
     mask = sum(1 << v for v in true_vars)
     actual = tuple([evaluate(b, mask) if b else 0 for b in vec.bits])
-    verdict = _witness(i, m, _assignment(true_vars, m), actual, f"first difference at bit {p}")
-    if verdict is None:
-        raise AssertionError(
-            f"qubit {i}: counterexample failed to separate actual from expected at bit {p}"
-        )
-    return verdict
+    expected = tuple([evaluate(b, mask) if b else 0 for b in target.bits])
+    if actual == expected:
+        raise AssertionError(f"qubit {i}: counterexample failed to separate actual from "
+                             f"expected at bit {p}")
+    return QubitVerdict(qubit=i, status=VIOLATION, counterexample=dict.fromkeys(true_vars, 1),
+                        expected=expected, actual=actual, detail=f"first difference at bit {p}")

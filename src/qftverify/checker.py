@@ -11,12 +11,13 @@ control tapped once is compared by its order alone; only the others are
 summed.  The input b = e_k, with only b_k set, separates any k that
 differs, so every refutation carries a counterexample by construction.  A
 line equal to the textbook one is verified by one list comparison before
-any of this.
+any of this.  A counterexample is held as the set of inputs it sets to 1,
+and both routes read the target's and the line's phase off that set with
+one function, _witness.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -59,10 +60,11 @@ class CheckerConfig:
 class QubitVerdict:
     """Outcome for one qubit.
 
-    For a violation, the counterexample is a total assignment of the input
-    variables under which the evaluated output differs from the evaluated
-    target, so every reported counterexample certifies itself.  ``actual`` is
-    None only when the line never received an H gate: the wire then carries
+    For a violation, the counterexample maps the inputs it sets to 1, and
+    only those, to 1; every other input is 0.  ``expected`` and ``actual`` are the m bits of
+    the target's and the line's phase on that input, and they differ, so
+    every reported counterexample certifies itself.  ``actual`` is None only
+    when the line never received an H gate: the wire then carries
     an unrotated control value, which cannot equal the target form (a rotated
     superposition) for any input.
     """
@@ -131,40 +133,24 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _expected_bits(assignment: dict[int, int], i: int, m: int) -> tuple[int, ...]:
-    """Qubit i's target form under a total assignment: b(i)..b(m), then i-1 zeros."""
-    return (*map(assignment.__getitem__, range(i, m + 1)), *(0,) * (i - 1))
-
-
-@functools.lru_cache(maxsize=1)
-def _all_false(m: int) -> dict[int, int]:
-    # never mutated: callers copy it, which is several times cheaper than
-    # building an m-entry dict key by key on every refuted qubit
-    return dict.fromkeys(range(1, m + 1), 0)
-
-
-def _assignment(true_vars: Iterable[int], m: int) -> dict[int, int]:
-    """The total assignment of b1..bm that sets exactly ``true_vars``."""
-    assignment = _all_false(m).copy()
-    for v in true_vars:
-        assignment[v] = 1
-    return assignment
-
-
-def _witness(i: int, m: int, assignment: dict[int, int], actual: tuple[int, ...] | None,
+def _witness(i: int, m: int, taps: dict[int, list[int]] | None, true_inputs: Sequence[int],
              detail: str) -> QubitVerdict | None:
-    """The violation that ``assignment`` exhibits on qubit i, whose line gives
-    ``actual`` there (None for a control wire), or None if it exhibits none."""
-    expected = _expected_bits(assignment, i, m)
+    """The violation that the input setting exactly ``true_inputs`` to 1
+    exhibits on qubit i, whose line taps ``taps`` (None for a control wire),
+    or None if it exhibits none.  Both phases are read off that set: the
+    target weighs b_k at 2**-(k-i+1) for k >= i, the line at its taps."""
+    expected = _phase_bits(_weight(m, (k - i + 1 for k in true_inputs if k >= i)), m)
+    actual = None if taps is None else _phase_bits(
+        _weight(m, (n for k in true_inputs for n in taps.get(k, ()))), m)
     if actual == expected:
         return None
-    return QubitVerdict(qubit=i, status=VIOLATION, counterexample=assignment,
+    return QubitVerdict(qubit=i, status=VIOLATION, counterexample=dict.fromkeys(true_inputs, 1),
                         expected=expected, actual=actual, detail=detail)
 
 
 def _unrotated(i: int, m: int) -> QubitVerdict:
     """The violation of qubit i whose line never receives an H."""
-    return _witness(i, m, _assignment((i,), m), None,
+    return _witness(i, m, None, (i,),
                     "line never receives an H gate; its output stays an unrotated control wire")
 
 
@@ -192,8 +178,7 @@ def _decide_line(m: int, i: int, orders: Sequence[int], controls: Sequence[int])
     if k > m:
         return QubitVerdict(qubit=i, status=VERIFIED)
     target = f"2^-{k - i + 1}" if k >= i else "0"
-    verdict = _witness(i, m, _assignment((k,), m), _phase_bits(_weight(m, taps.get(k, ())), m),
-                       f"coefficient of b{k} differs from {target}")
+    verdict = _witness(i, m, taps, (k,), f"coefficient of b{k} differs from {target}")
     if verdict is None:
         raise AssertionError(f"qubit {i}: input b{k} failed to separate actual from expected")
     return verdict
@@ -202,9 +187,9 @@ def _decide_line(m: int, i: int, orders: Sequence[int], controls: Sequence[int])
 def _solver_verdict(solver: smt.SolverConfig, i: int, m: int, line: Line) -> QubitVerdict:
     """Decide one qubit, whose line has an H, with the external solver.
 
-    A sat model is re-validated by evaluating the line's phase on the
-    model's input values, sum_k b_k * c_k mod 1 over the line's taps, before
-    a violation is reported, so a nonconforming solver cannot fabricate a
+    A sat model is re-validated before a violation is reported: _witness
+    evaluates the line's phase, sum_k b_k * c_k mod 1 over its taps, on the
+    model's true inputs, so a nonconforming solver cannot fabricate a
     counterexample.
     """
     result = smt.solve_line(solver, line, i, m)
@@ -213,14 +198,12 @@ def _solver_verdict(solver: smt.SolverConfig, i: int, m: int, line: Line) -> Qub
     if result.status != "sat":
         return QubitVerdict(qubit=i, status=UNRESOLVED,
                             detail=f"solver {result.status}: {result.reason}")
-    assignment = dict(result.model.values)
-    taps = _line_taps(m, i, *line)
-    phase = _weight(m, (n for k, ns in taps.items() if assignment[k] for n in ns))
     detail = ""
     if result.model.defaulted:
         names = ", ".join(f"b{k}" for k in result.model.defaulted)
         detail = f"model omitted {names}; defaulted to false"
-    verdict = _witness(i, m, assignment, _phase_bits(phase, m), detail)
+    true_inputs = [k for k, bit in result.model.values.items() if bit]
+    verdict = _witness(i, m, _line_taps(m, i, *line), true_inputs, detail)
     if verdict is None:
         return QubitVerdict(qubit=i, status=UNRESOLVED,
                             detail="solver model failed local re-validation; treating as unresolved")
@@ -246,13 +229,16 @@ def verify_lines(m: int, gate_count: int, lines: Iterable[Line],
     None for a line without an H.  It is consumed lazily, one line at a
     time, so a streamed circuit never needs to exist whole.  A malformed
     line (columns of unequal length, or an order or control outside 1..m)
-    raises ValueError, and so does a line pulled after line m, or lines
-    that end before line m unless a failed qubit stopped the run first.
+    raises ValueError, and so do an m below 1, before any line is pulled, a
+    line pulled after line m, and lines that end before line m unless a
+    failed qubit stopped the run first.
     Per-qubit work (summing that line's taps and checking its weights) is
     timed separately so reported times reflect the independent per-qubit
     obligations rather than the whole-circuit sweep.  In short-circuit mode
     no line is pulled after the first non-verified qubit.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     label = "weights" if cfg.solver is None else "smt"
     report = VerificationReport(qubits=m, gate_count=gate_count, overall=VERIFIED)
     i = 0

@@ -1,7 +1,7 @@
 """qftv: command-line front end.
 
-Exit codes: 0 verified, 1 property violation, 2 type error, 3 usage or I/O
-error, 4 solver failure or unresolved verdict.
+Exit codes: 0 verified, 1 property violation, 2 type error, 3 usage, I/O
+or out-of-memory error, 4 solver failure or unresolved verdict.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ def _cmd_verify(args) -> int:
             v = rec.verdict
             line = f"qubit {v.qubit}: {v.status} ({rec.backend}, {rec.millis:.3f} ms)"
             if v.counterexample is not None:
-                witness = "".join(str(v.counterexample[k]) for k in sorted(v.counterexample))
+                witness = " ".join(f"b{k}=1" for k in sorted(v.counterexample))
                 expected = bits_to_string(v.expected)
                 actual = "(control wire)" if v.actual is None else bits_to_string(v.actual)
-                line += f" inputs b1..b{report.qubits}={witness} expected {expected} actual {actual}"
+                line += f" inputs {witness} (others 0) expected {expected} actual {actual}"
             if v.detail:
                 line += f" [{v.detail}]"
             print(line)
@@ -259,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # exit 1 would read as a property violation
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -160,7 +160,10 @@ def test_criterion_6_counterexamples_self_validate(error_sweep):
             assert verdict.counterexample is not None
             assert verdict.expected is not None
             assert verdict.actual != verdict.expected
-            expected = eval_bits(target_vector(verdict.qubit, m), verdict.counterexample)
+            # the counterexample lists its true inputs; every other input is 0
+            assert set(verdict.counterexample.values()) == {1}
+            sigma = {k: verdict.counterexample.get(k, 0) for k in range(1, m + 1)}
+            expected = eval_bits(target_vector(verdict.qubit, m), sigma)
             assert expected == verdict.expected
             outputs = run_abstract(circuit)
             vec = outputs.qubit(verdict.qubit)
@@ -169,7 +172,7 @@ def test_criterion_6_counterexamples_self_validate(error_sweep):
                 # so no assignment can make it match the target form
                 assert verdict.actual is None
             else:
-                assert eval_bits(vec, verdict.counterexample) == verdict.actual
+                assert eval_bits(vec, sigma) == verdict.actual
     assert violations > 0
     print(f"\ncriterion 6 (counterexample validity): PASS - {violations} violations, "
           f"all self-validating")

@@ -1,4 +1,9 @@
 import json
+import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,12 +38,14 @@ from qftverify.circuit import (
     IncorrectGateOrder,
     MissingH,
     _qft_circuit,
+    enumerate_error_specs,
     generate_qft,
     inject_error,
     qft_gate_count,
     qft_line,
 )
 from qftverify.oracle import cross_check
+from qftverify.smt import emit_smt2
 from helpers import (
     CONTROL_AFTER_ITS_H,
     bits_as_int,
@@ -112,8 +119,9 @@ class TestCheckQubit:
         assert verdict.status == VIOLATION
         assert verdict.actual != verdict.expected
         outs = run_abstract(mutated)
-        assert eval_bits(outs.qubit(1), verdict.counterexample) == verdict.actual
-        assert eval_bits(target_vector(1, 3), verdict.counterexample) == verdict.expected
+        sigma = {k: verdict.counterexample.get(k, 0) for k in range(1, 4)}
+        assert eval_bits(outs.qubit(1), sigma) == verdict.actual
+        assert eval_bits(target_vector(1, 3), sigma) == verdict.expected
 
     def test_split_rotation_is_accepted(self):
         # replacing a rotation with two of the next finer order, same control,
@@ -196,8 +204,10 @@ class TestVerifyCircuit:
         assert doc["qubits"] == 3 and doc["gates"] == 6
         entry = doc["per_qubit"][0]
         assert set(entry) >= {"qubit", "verdict", "backend", "millis"}
-        assert entry["counterexample"].keys() == {"b1", "b2", "b3"}
-        assert entry["expected"].startswith("0.") and entry["actual"].startswith("0.")
+        # b2 alone separates: the target weighs it 2^-2, the mutant 2^-3;
+        # only true inputs are listed, and bits stop at the last set one
+        assert entry["counterexample"] == {"b2": 1}
+        assert (entry["expected"], entry["actual"]) == ("0.01", "0.001")
 
 
 class TestVerifyLines:
@@ -220,6 +230,16 @@ class TestVerifyLines:
         with pytest.raises(ValueError, match="1 lines for 4 qubits"):
             verify_lines(4, qft_gate_count(4), [qft_line(4, 1)], CheckerConfig(exhaustive=exhaustive))
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_fewer_than_one_qubit_is_rejected(self, m):
+        # no qubit is not a verified circuit
+        def feed():
+            raise AssertionError("a line was pulled")
+            yield
+
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+            verify_lines(m, 0, feed(), CheckerConfig(exhaustive=True))
+
     def test_line_after_the_last_is_rejected(self):
         # a line after line m has no qubit to decide, even one without an H
         lines = [qft_line(2, 1), qft_line(2, 2), None]
@@ -234,13 +254,64 @@ class TestVerifyLines:
         report = verify_lines(m, qft_gate_count(m), _qft_lines(m, spec), CheckerConfig())
         verdict = report.records[0].verdict
         assert verdict.status == VIOLATION
-        sigma = tuple(verdict.counterexample[k] for k in range(1, m + 1))
+        sigma = tuple(verdict.counterexample.get(k, 0) for k in range(1, m + 1))
         correct_line = _qft_circuit(m, (1,))
         actual = concrete_line_values(inject_error(correct_line, spec), sigma)[0]
         expected = concrete_line_values(correct_line, sigma)[0]
         assert bits_as_int(verdict.actual) == actual
         assert bits_as_int(verdict.expected) == expected
         assert actual != expected
+
+
+class TestWitnessSize:
+    def test_gateless_exhaustive_report_is_small(self):
+        # every line of the gateless circuit is refuted by its own input
+        # alone, so each witness holds one input and prints as a few bytes;
+        # an m-entry witness per qubit would take O(m^2) of both
+        m = 2000
+        tracemalloc.start()
+        try:
+            report = verify_circuit(CircuitDescription(m, ()), CheckerConfig(exhaustive=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.verdict.counterexample for r in report.records] == [{i: 1} for i in range(1, m + 1)]
+        assert peak < 64 << 20
+        doc = report.to_json()
+        assert len(doc) < 2 << 20
+        entry = json.loads(doc)["per_qubit"][2]
+        assert (entry["counterexample"], entry["expected"], entry["actual"]) == ({"b3": 1}, "0.1", None)
+
+
+class TestSharedCaches:
+    def test_threads_at_two_widths_match_serial_runs(self):
+        # circuit._naturals and smt._shared_text each cache one width, so
+        # interleaved tasks at two widths keep evicting each other's entry;
+        # every task builds its circuit through the cache too.  A cache that
+        # stores its width before its value fails this test.
+        def verify(m, spec):
+            report = verify_circuit(inject_error(generate_qft(m), spec), CheckerConfig(exhaustive=True))
+            return report.overall, [(r.verdict.qubit, r.verdict.status, r.verdict.counterexample,
+                                     r.verdict.expected, r.verdict.actual, r.verdict.detail)
+                                    for r in report.records]
+
+        def emit(m, i):
+            return emit_smt2(generate_qft(m), i)
+
+        tasks = []
+        for m in (9, 17):
+            tasks += [partial(verify, m, s) for s in list(enumerate_error_specs(generate_qft(m)))[::20]]
+            tasks += [partial(emit, m, i) for i in range(1, m + 1) for _ in range(4)]
+        random.Random(0).shuffle(tasks)
+        serial = [task() for task in tasks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside tasks too
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda task: task(), tasks))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 def _circuit_with_line(m: int, i: int, rotations) -> CircuitDescription:
@@ -259,7 +330,7 @@ class TestCoefficientDecision:
         report = verify_circuit(c, CheckerConfig(exhaustive=True))
         verdict = report.records[i - 1].verdict
         assert verdict.status == VIOLATION
-        sigma = tuple(verdict.counterexample[k] for k in range(1, c.m + 1))
+        sigma = tuple(verdict.counterexample.get(k, 0) for k in range(1, c.m + 1))
         assert bits_as_int(verdict.actual) == concrete_line_values(c, sigma)[i - 1]
         assert verdict.actual != verdict.expected
         return verdict
@@ -271,7 +342,7 @@ class TestCoefficientDecision:
         m = 64
         c = _circuit_with_line(m, 1, [(m, k) for k in range(2, 42)])
         verdict = self._refuted(c, 1)
-        assert verdict.counterexample == {k: int(k == 2) for k in range(1, m + 1)}
+        assert verdict.counterexample == {2: 1}
         assert verdict.detail == "coefficient of b2 differs from 2^-2"
 
     def test_carry_out_of_the_half_turn_wraps(self):
@@ -288,7 +359,7 @@ class TestCoefficientDecision:
         m = 6
         c = _circuit_with_line(m, 2, list(zip(*qft_line(m, 2))) + [(2, 1), (2, 1)])
         verdict = self._refuted(c, 2)
-        assert verdict.counterexample == {k: int(k == 1) for k in range(1, m + 1)}
+        assert verdict.counterexample == {1: 1}
         assert verdict.actual == (1, 0, 0, 0, 0, 0)
         assert verdict.detail == "coefficient of b1 differs from 0"
 

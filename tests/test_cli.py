@@ -1,5 +1,6 @@
 import io
 import json
+import resource
 import shlex
 import stat
 import subprocess
@@ -53,7 +54,8 @@ class TestInject:
                      "-i", str(qft3_file), "-o", str(out)])
         assert code == 0
         assert main(["verify", "-i", str(out)]) == 1
-        assert "violation" in capsys.readouterr().out
+        # the witness lists its true inputs; bits stop at the last set one
+        assert "inputs b2=1 (others 0) expected 0.01 actual 0.001" in capsys.readouterr().out
 
     def test_missing_h_gives_type_error_exit(self, qft3_file, tmp_path, capsys):
         out = tmp_path / "bad.json"
@@ -137,7 +139,10 @@ class TestSolver:
         doc = json.loads(capsys.readouterr().out)
         bad = doc["per_qubit"][0]
         assert doc["overall"] == "violation" and bad["backend"] == "smt"
-        assert bad["expected"] != bad["actual"] and len(bad["counterexample"]) == 3
+        # the model's true inputs, each among b1..b3 and set to 1
+        cex = bad["counterexample"]
+        assert bad["expected"] != bad["actual"] and cex and set(cex.values()) == {1}
+        assert set(cex) <= {"b1", "b2", "b3"}
 
 
 class TestEmitSmt:
@@ -256,6 +261,23 @@ class TestErrors:
             err = err.partition("\nqftv: " if "unrecognized" in err else f"\nqftv {argv[0]}: ")[2]
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err and captured.out == ""
+
+    @pytest.mark.parametrize("argv,circuit", [
+        (["verify"], {"qubits": 1_000_000_000, "gates": []}),
+        (["oracle-check", "--max-qubits", "40"], {"qubits": 40, "gates": []}),
+    ], ids=["verify-1e9-qubits", "oracle-40-qubits"])
+    def test_out_of_memory_exits_3(self, tmp_path, argv, circuit):
+        # exit 1 would read as a property violation; the child's address
+        # space is capped, so its allocation fails at once
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(circuit))
+        cap = 1536 << 20
+        run = subprocess.run(
+            [sys.executable, "-m", "qftverify.cli", *argv, "-i", str(path)],
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert (run.returncode, run.stderr) == (3, "error: out of memory\n")
 
     def test_unlaunchable_solver_exits_4(self, qft3_file, capsys):
         assert main(["verify", "-i", str(qft3_file), "--solver", "not-a-solver-xyz"]) == 4
