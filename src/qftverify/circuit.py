@@ -494,7 +494,10 @@ def parse_error_spec(text: str) -> ErrorSpec:
 # UTF-8 JSON: {"qubits": m, "gates": [{"kind": "H", "target": i} |
 # {"kind": "R", "n": n, "target": i, "control": j}, ...]}, array order is
 # application order.  serialize_circuit writes one gate per line so circuit
-# diffs stay readable; parse_circuit accepts any JSON layout.
+# diffs stay readable.  parse_circuit decodes exactly that layout, byte for
+# byte, at C speed and with no object per gate (_parse_canonical); every
+# other layout, and a canonical file that breaks a rule, goes through
+# json.loads, which accepts any JSON layout and gives every message.
 
 
 # Gate kind -> its integer fields, named as in GateInstance, in the order
@@ -504,15 +507,47 @@ _GATE_FIELDS = {"H": ("target",), "R": ("n", "target", "control")}
 # (kind, key count) of every well-formed gate object.
 _GATE_SHAPES = {(kind, len(fields) + 1) for kind, fields in _GATE_FIELDS.items()}
 
+# The layout serialize_circuit writes: _HEAD, m's digits, _GATES_OPEN, the
+# gate lines joined by _SEPARATOR, then _TAIL (with no gate, the "\n" that
+# ends _GATES_OPEN starts _TAIL).  A gate line with each value's digits
+# written as one "0" is its kind's skeleton, less the separator that ends it.
+_HEAD, _GATES_OPEN, _SEPARATOR, _TAIL = b'{"qubits": ', b', "gates": [\n', b",\n", b"\n]}\n"
+_SKELETONS = {b"H": b'{"kind": "H", "target": 0},\n',
+              b"R": b'{"kind": "R", "n": 0, "target": 0, "control": 0},\n'}
+_FIRST_GATE = tuple(skeleton[:skeleton.index(b"0")] for skeleton in _SKELETONS.values())
+_MAX_M_DIGITS = len(str(2 ** 64 - 1))
+_DIGITS = b"0123456789"
+_DIGITS_TO_0 = bytes.maketrans(_DIGITS, b"0" * len(_DIGITS))
+_ALL_BUT_KINDS = bytes(sorted(set(range(256)) - set(b"HR")))
+_ALL_BUT_VALUES = bytes(sorted(set(range(256)) - set(_DIGITS + b",HR")))
+_BLOCK_BYTES = 1 << 20  # about this much text is decoded at once
 
-def parse_circuit(text: str) -> CircuitDescription:
+
+def parse_circuit(text: str | bytes) -> CircuitDescription:
     """Parse a circuit file; round-trips with serialize_circuit.
 
-    Only what JSON can get wrong is checked here; the value rules are the
-    constructors'.  A file of legal gates is accepted by whole-column checks
-    alone; any other file is walked gate by gate, which raises the first
-    rule it breaks.
+    ``text`` is the file's text, or its bytes, which are read as a UTF-8
+    text file is: strictly decoded, with universal newlines.  A file in
+    exactly the layout serialize_circuit writes whose gates are all legal is
+    decoded without json.loads (_parse_canonical).  Any other file goes
+    through json.loads, and only what JSON can get wrong is checked here;
+    the value rules are the constructors'.  A file of legal gates is
+    accepted by whole-column checks alone; any other file is walked gate by
+    gate, which raises the first rule it breaks.
     """
+    if isinstance(text, bytes):
+        circuit = _parse_canonical(text)
+        if circuit is None:
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CircuitParseError(str(exc)) from None
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+    else:
+        circuit = _parse_canonical(text.encode()) if text.isascii() else None
+    if circuit is not None:
+        return circuit
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -526,7 +561,7 @@ def parse_circuit(text: str) -> CircuitDescription:
         raise CircuitParseError('missing "qubits" field')
     m = doc["qubits"]
     if type(m) is not int:
-        raise CircuitParseError(f"m must be >= 1, got {m!r}")
+        raise CircuitParseError(f"m must be an integer, got {m!r}")
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
         raise CircuitParseError('missing or non-array "gates" field')
@@ -535,6 +570,82 @@ def parse_circuit(text: str) -> CircuitDescription:
         return _parse_gates(m, raw_gates) if circuit is None else circuit
     except CircuitError as exc:
         raise CircuitParseError(str(exc)) from None
+
+
+def _parse_canonical(data: bytes) -> CircuitDescription | None:
+    """The circuit of ``data`` if it is byte for byte what serialize_circuit
+    writes for a circuit of legal gates, else None.
+
+    The header, the first gate's opening and the last gate's closing brace
+    are checked before any pass over the whole file, so a file in another
+    layout costs almost nothing.  Then each block of whole gate lines, cut at
+    a _SEPARATOR, is checked (_block_kinds) and decoded by bytes methods,
+    with no object per gate: kept to its digits, commas and kind letters,
+    with each H given an order 0 and a control 0, the block must load as a
+    JSON array of integers, which keeps JSON's grammar (no leading zero).
+    Each gate is then three values (order, target, control), except that an
+    H's target sits in the control's slot.  The columns must
+    pass _legal_columns, as _parse_columns' must, so a file this accepts
+    gives the circuit that json.loads and _parse_columns give.
+    """
+    end = data.find(_GATES_OPEN, len(_HEAD), len(_HEAD) + _MAX_M_DIGITS + len(_GATES_OPEN))
+    if end < 0 or not data.startswith(_HEAD):
+        return None
+    digits = data[len(_HEAD):end]
+    m = int(digits) if digits.isdigit() and not digits.startswith(b"0") else 0
+    if not 0 < m < 1 << 64:
+        return None
+    start = end + len(_GATES_OPEN)
+    if len(data) == start + len(_TAIL) - 1:
+        return CircuitDescription._from_columns(m, (), (), ()) if data.endswith(_TAIL[1:]) else None
+    # the last gate's brace before _TAIL: no separator may trail the gates
+    if not (data.startswith(_FIRST_GATE, start) and data.endswith(b"}" + _TAIL)):
+        return None
+    columns = targets, orders, controls = tuple(array(_typecode(m)) for _ in range(3))
+    stop = len(data) - len(_TAIL)
+    while start < stop:
+        end = data.find(_SEPARATOR, start + _BLOCK_BYTES, stop)
+        block = data[start:stop if end < 0 else end]
+        start += len(block) + len(_SEPARATOR)
+        kinds = _block_kinds(block, len(digits))
+        if kinds is None:
+            return None
+        flat = block.translate(None, _ALL_BUT_VALUES).replace(b"H,", b"0,0,")
+        try:
+            values = json.loads(b"[%b]" % flat.replace(b"R,", b""))
+        except ValueError:  # a value with a leading zero
+            return None
+        block_targets, block_orders, block_controls = values[1::3], values[::3], values[2::3]
+        k = kinds.find(b"H")
+        while k >= 0:  # an H's target was read into its control's slot
+            block_targets[k], block_controls[k] = block_controls[k], 0
+            k = kinds.find(b"H", k + 1)
+        if not _legal_columns(m, kinds.count(b"H"), block_targets, block_orders, block_controls):
+            return None
+        targets.extend(block_targets)
+        orders.extend(block_orders)
+        controls.extend(block_controls)
+    return CircuitDescription._from_columns(m, *columns)
+
+
+def _block_kinds(block: bytes, width: int) -> bytes | None:
+    """The kind letters of ``block``'s gates if it is gate lines, joined by
+    _SEPARATOR, laid out as serialize_circuit lays them out, else None.
+
+    With every run of digits written as one "0", the block must be the
+    joined _SKELETONS of the kinds it names: so every byte but a value's
+    digits is where serialize_circuit puts it, and every value is there.
+    Every run of at most ``width`` digits collapses; a longer value may be
+    refused here, and the caller's range check refuses it otherwise.
+    """
+    skeleton = block.translate(_DIGITS_TO_0)
+    for _ in range((width - 1).bit_length()):  # each pass halves every run
+        skeleton = skeleton.replace(b"00", b"0")
+    kinds = skeleton.translate(None, _ALL_BUT_KINDS)
+    expected = kinds.replace(b"R", _SKELETONS[b"R"]).replace(b"H", _SKELETONS[b"H"])
+    if len(expected) != len(skeleton) + len(_SEPARATOR) or not expected.startswith(skeleton):
+        return None
+    return kinds
 
 
 def _parse_columns(m: int, entries: list) -> CircuitDescription | None:
@@ -556,15 +667,23 @@ def _parse_columns(m: int, entries: list) -> CircuitDescription | None:
     targets = list(map(dict.get, entries, repeat("target")))
     orders = list(map(dict.get, entries, repeat("n"), repeat(0)))
     controls = list(map(dict.get, entries, repeat("control"), repeat(0)))
-    h_count = kinds.count("H")
     if not (set(map(type, chain(targets, orders, controls))) <= {int}
-            and orders.count(0) == h_count == controls.count(0)
-            and 1 <= min(targets, default=1) and max(targets, default=0) <= m
-            and 0 <= min(orders, default=0) and max(orders, default=0) <= m
-            and 0 <= min(controls, default=0) and max(controls, default=0) <= m
-            and not any(map(eq, targets, controls))):
+            and 0 <= min(orders, default=0) and 0 <= min(controls, default=0)
+            and _legal_columns(m, kinds.count("H"), targets, orders, controls)):
         return None
     return CircuitDescription._from_columns(m, targets, orders, controls)
+
+
+def _legal_columns(m: int, h_count: int, targets: list, orders: list, controls: list) -> bool:
+    """Whether columns of non-negative integers, ``h_count`` of their gates
+    H, are all legal gates of an m-qubit circuit: only an H's order and
+    control are 0, every target is at least 1, every value is at most m, and
+    no control equals its target."""
+    return (orders.count(0) == h_count == controls.count(0)
+            and 1 <= min(targets, default=1)
+            and max(max(targets, default=0), max(orders, default=0),
+                    max(controls, default=0)) <= m
+            and not any(map(eq, targets, controls)))
 
 
 def _parse_gates(m: int, entries: list) -> CircuitDescription:

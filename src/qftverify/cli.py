@@ -41,7 +41,7 @@ _OVERALL_EXIT = {
 def _read_circuit(path: str):
     if path == "-":
         return parse_circuit(sys.stdin.read())
-    return parse_circuit(Path(path).read_text(encoding="utf-8"))
+    return parse_circuit(Path(path).read_bytes())
 
 
 def _write_text(path: str, text: str) -> None:

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,6 +339,11 @@ class TestFiles:
         with pytest.raises(CircuitParseError, match="m must be >= 1"):
             parse_circuit('{"qubits": 0, "gates": []}')
 
+    @pytest.mark.parametrize("value,shown", [("2.5", "2.5"), ("true", "True"), ('"3"', "'3'")])
+    def test_non_integer_qubits_named(self, value, shown):
+        with pytest.raises(CircuitParseError, match=re.escape(f"m must be an integer, got {shown}")):
+            parse_circuit('{"qubits": %s, "gates": []}' % value)
+
     def test_unknown_gate_fields_rejected(self):
         with pytest.raises(CircuitParseError, match="unexpected fields"):
             parse_circuit('{"qubits": 1, "gates": [{"kind": "H", "target": 1, "n": 2}]}')
@@ -443,6 +450,140 @@ class TestColumnParse:
 
         check()
         assert seen == {"circuit", "error", "columns rejected", "columns decided"}
+
+
+# Qubit counts in the range of each column typecode; the wide ones get few gates.
+M_RANGES = {"B": (1, 255), "H": (256, 65_535), "I": (65_536, 2 ** 32 - 1)}
+
+
+@st.composite
+def legal_circuits(draw):
+    """A circuit of legal gates at an m of each typecode, or a single-error
+    mutant of a small textbook circuit."""
+    if draw(st.integers(0, 3)) == 0:
+        base = generate_qft(draw(st.integers(2, 5)))
+        return inject_error(base, draw(st.sampled_from(list(enumerate_error_specs(base)))))
+    code = draw(st.sampled_from(sorted(M_RANGES)))
+    m = draw(st.integers(*M_RANGES[code]))
+    line = st.integers(1, m)
+    gates = []
+    for _ in range(draw(st.integers(0, 10 if code == "B" else 3))):
+        target = draw(line)
+        if m > 1 and draw(st.booleans()):
+            control = draw(line.filter(lambda c: c != target))
+            gates.append(GateInstance("R", target, n=draw(line), control=control))
+        else:
+            gates.append(GateInstance("H", target))
+    return CircuitDescription(m, gates)
+
+
+def reorder_keys(text: str, line_start: int) -> str:
+    """``text`` with the keys of the gate on the line at ``line_start`` reversed."""
+    end = text.index("}", line_start) + 1
+    fields = json.loads(text[line_start:end])
+    gate = ", ".join(f'"{key}": {json.dumps(fields[key])}' for key in reversed(fields))
+    return text[:line_start] + "{" + gate + "}" + text[end:]
+
+
+@st.composite
+def edited_files(draw):
+    """(the canonical text of a circuit with one edit, the edit's name)."""
+    c = draw(legal_circuits())
+    text = serialize_circuit(c)
+    value = draw(st.sampled_from([match.span(1) for match in re.finditer(r": (\d+)", text)]))
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(("leading-zero", "sign", "float", "true", "above-m", "2**64",
+                                 "reordered-keys", "space", "digit", "crlf", "trailing",
+                                 "trailing-comma", "no-final-newline")))
+    new_value = {"leading-zero": "0" + text[slice(*value)], "sign": "-" + text[slice(*value)],
+                 "float": "2.0", "true": "true", "above-m": str(c.m + 1), "2**64": str(2 ** 64)}
+    if edit in new_value:
+        text = text[:value[0]] + new_value[edit] + text[value[1]:]
+    elif edit == "reordered-keys" and c.gate_count:
+        starts = [match.start() for match in re.finditer(r"^\{", text, re.M)][1:]
+        text = reorder_keys(text, draw(st.sampled_from(starts)))
+    elif edit in ("space", "digit"):
+        text = text[:at] + draw(st.sampled_from(" " if edit == "space" else "0123456789")) + text[at:]
+    elif edit == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif edit == "trailing":
+        text += draw(st.sampled_from((" ", "\n", "x", "0", "}")))
+    elif edit == "trailing-comma":  # after the last gate, as "}," or as a separator
+        text = text[:-len("\n]}\n")] + draw(st.sampled_from((",", ",\n"))) + "\n]}\n"
+    elif edit == "no-final-newline":
+        text = text[:-1]
+    return text, edit
+
+
+def json_route(text):
+    """What parse_circuit gives ``text`` with the canonical layout's decoder off."""
+    with mock.patch.object(circuit_mod, "_parse_canonical", lambda data: None):
+        return outcome(lambda: parse_circuit(text))
+
+
+class TestCanonicalLayout:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(legal_circuits())
+    def test_what_serialize_writes_is_decoded_without_json(self, c):
+        text = serialize_circuit(c)
+        assert circuit_mod._parse_canonical(text.encode()) == c
+        assert parse_circuit(text) == c == parse_circuit(text.encode())
+        assert c.targets.typecode == parse_circuit(text).targets.typecode
+
+    def test_zero_gates(self):
+        for m in (1, 255, 256, 2 ** 32):
+            c = CircuitDescription(m, [])
+            assert circuit_mod._parse_canonical(serialize_circuit(c).encode()) == c
+
+    @pytest.mark.parametrize("block_bytes", [circuit_mod._BLOCK_BYTES, 1, 48])
+    def test_single_edits_agree_with_the_json_route(self, monkeypatch, block_bytes):
+        # each edit gives the circuit or the message that json.loads and the
+        # column or gate-by-gate checks give, whether the text is str or bytes;
+        # small blocks put the edits on and between block boundaries
+        monkeypatch.setattr(circuit_mod, "_BLOCK_BYTES", block_bytes)
+        seen = set()
+
+        @settings(max_examples=800, deadline=None, derandomize=True)
+        @given(edited_files())
+        def check(case):
+            text, edit = case
+            want = json_route(text)
+            assert outcome(lambda: parse_circuit(text)) == want
+            assert outcome(lambda: parse_circuit(text.encode())) == want
+            decoded = circuit_mod._parse_canonical(text.encode())
+            if decoded is not None:  # only what serialize_circuit writes
+                assert serialize_circuit(decoded) == text
+            seen.add(want[0])
+            seen.add(edit)
+
+        check()
+        assert seen >= {"circuit", "error", "leading-zero", "crlf", "digit", "reordered-keys",
+                        "trailing-comma"}
+
+    def test_textbook_file_takes_the_fast_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the file went through json.loads")
+
+        text = serialize_circuit(generate_qft(64))
+        monkeypatch.setattr(circuit_mod, "_parse_columns", refuse)
+        monkeypatch.setattr(circuit_mod, "_parse_gates", refuse)
+        assert parse_circuit(text.encode()) == generate_qft(64) == parse_circuit(text)
+
+    # tracemalloc peak of parse_circuit on the bytes of the m = 512 textbook
+    # file: 37.1 MB through json.loads, one dict per gate; 6.4 MB decoded
+    # from the canonical layout, a block of lines at a time.
+    PEAK_BYTES = 12 << 20
+
+    def test_textbook_file_decodes_in_little_memory(self):
+        data = serialize_circuit(generate_qft(512)).encode()
+        tracemalloc.start()
+        try:
+            c = parse_circuit(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.gate_count == qft_gate_count(512)
+        assert peak < self.PEAK_BYTES
 
 
 class TestCompactColumns:

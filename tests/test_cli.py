@@ -220,6 +220,23 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("data,message", [
+        (serialize_circuit(generate_qft(3)).encode("utf-16"),
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"\xef\xbb\xbf" + serialize_circuit(generate_qft(3)).encode(),
+         "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (b'{"qubits": 1, "gates": [\n{"kind": "H", "target": 1\xff}\n]}\n',
+         "'utf-8' codec can't decode byte 0xff in position 50: invalid start byte"),
+        (b'{"qubits": 2,\r"gates": [}', "line 2, column 11: Expecting value"),
+    ], ids=["utf-16", "utf-8-bom", "invalid-utf-8", "cr-line-ends"])
+    def test_file_is_read_as_utf8_text(self, tmp_path, capsys, data, message):
+        # strictly UTF-8, with universal newlines: json.loads on the bytes
+        # would decode UTF-16 and name a BOM otherwise
+        path = tmp_path / "encoded.json"
+        path.write_bytes(data)
+        assert main(["verify", "-i", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv,message", [
         (["inject", "--error", "incorrect-gate:target=1,target=2,ordinal=1,wrong-n=3",
           "-i", "{file}", "-o", "-"], "field 'target' is given twice"),
