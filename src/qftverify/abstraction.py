@@ -12,7 +12,10 @@ Data (a fractional bit-vector) at its unique H gate.  An H gate consumes a
 Control and produces the one-bit-set vector conditioned on its input; a
 rotation of order n adds, modulo 1, a one-hot vector at position n ANDed with
 its control's initial value.  Violations of this discipline are the type
-errors that expose structural circuit defects.
+errors that expose structural circuit defects.  The typing groups a
+circuit's gates by line, and each typed line is a pair of array slices of
+the circuit's own columns, its rotations' orders and controls: a few bytes
+per gate, with no object per gate.
 
 Controls are read at their initial values, so line i's phase is linear in
 the inputs: sum_k b_k * c_k mod 1, where the weight c_k is 2**-1 from the H
@@ -29,7 +32,8 @@ controlled phase differs (ROADMAP item 1).
 from __future__ import annotations
 
 import enum
-from itertools import compress, count
+from itertools import chain, compress, count, islice
+from operator import ne
 from typing import Iterable, Sequence
 
 from .circuit import CircuitDescription
@@ -68,6 +72,10 @@ def bits_to_string(bits: Sequence[int]) -> str:
 # A typed line: its rotations' orders and controls in program order, or None
 # for a line that never receives its H.  The H is implicit: on a well-typed
 # line it is always the first gate, and it loads the line's own input.
+# group_gates_by_line and qft_line give each column as an array slice of m's
+# column typecode.  Any other sequence of ints, a list for example, is the
+# same line to every reader, but only arrays take the checker's textbook
+# comparison.
 Line = tuple[Sequence[int], Sequence[int]] | None
 
 
@@ -79,32 +87,47 @@ def group_gates_by_line(c: CircuitDescription) -> list[Line]:
     Returns each line as integer columns: index 0 holds line 1, a line is
     ``(orders, controls)`` for its rotations in program order, and it is
     None exactly when it never receives an H.
+
+    The walk steps over maximal runs of gates on one line, whose ends are
+    found at C speed.  A line's first run must open with its H, and no later
+    gate of the line may be an H, so a line is array slices of the
+    circuit's own columns, extended by each later run, and no object is
+    held per gate.
     """
+    targets, orders, controls = c.targets, c.orders, c.controls
     lines: list[Line] = [None] * c.m
-    for ordinal, line, n, control in zip(count(1), c.targets, c.orders, c.controls):
+    ends = compress(count(1), map(ne, targets, islice(targets, 1, None)))
+    start = 0
+    for end in chain(ends, (len(targets),) if targets else ()):
+        line = targets[start]
         columns = lines[line - 1]
-        if not n:  # an H
-            if columns is None:
-                lines[line - 1] = ([], [])
-            elif columns[0]:
+        first = start
+        if columns is None:
+            if orders[start]:
                 raise CircuitTypeError(
-                    TypeErrorKind.H_ON_DATA_WIRE, line, ordinal,
+                    TypeErrorKind.RN_DATA_PORT_GOT_CONTROL, line, start + 1,
+                    f"rotation targets line {line}, which has no preceding H "
+                    f"(control value on a data port)",
+                )
+            first += 1  # the line's H
+        run_orders = orders[first:end]
+        if 0 in run_orders:  # an H on a line that already has one
+            k = run_orders.index(0)
+            if k or columns and columns[0]:
+                raise CircuitTypeError(
+                    TypeErrorKind.H_ON_DATA_WIRE, line, first + k + 1,
                     f"H applied to line {line} after it became a data wire",
                 )
-            else:
-                raise CircuitTypeError(
-                    TypeErrorKind.DUPLICATE_H, line, ordinal,
-                    f"second H gate on line {line}",
-                )
-        elif columns is None:
             raise CircuitTypeError(
-                TypeErrorKind.RN_DATA_PORT_GOT_CONTROL, line, ordinal,
-                f"rotation targets line {line}, which has no preceding H "
-                f"(control value on a data port)",
+                TypeErrorKind.DUPLICATE_H, line, first + k + 1,
+                f"second H gate on line {line}",
             )
+        if columns is None:
+            lines[line - 1] = run_orders, controls[first:end]
         else:
-            columns[0].append(n)
-            columns[1].append(control)
+            columns[0].extend(run_orders)
+            columns[1].extend(controls[first:end])
+        start = end
     return lines
 
 

@@ -10,10 +10,10 @@ weight c_k equals its target 2**-(k-i+1) for k >= i and 0 for k < i.  A
 control tapped once is compared by its order alone; only the others are
 summed.  The input b = e_k, with only b_k set, separates any k that
 differs, so every refutation carries a counterexample by construction.  A
-line equal to the textbook one is verified by one list comparison before
-any of this.  A counterexample is held as the set of inputs it sets to 1,
-and both routes read the target's and the line's phase off that set with
-one function, _witness.
+line whose arrays equal the textbook one's is verified by one comparison of
+their bytes before any of this.  A counterexample is held as the set of
+inputs it sets to 1, and both routes read the target's and the line's phase
+off that set with one function, _witness.
 """
 
 from __future__ import annotations
@@ -226,12 +226,15 @@ def verify_lines(m: int, gate_count: int, lines: Iterable[Line],
 
     ``lines`` yields line 1, 2, .., m in order, each as group_gates_by_line
     gives it: ``(orders, controls)`` for its rotations in program order, or
-    None for a line without an H.  It is consumed lazily, one line at a
-    time, so a streamed circuit never needs to exist whole.  A malformed
-    line (columns of unequal length, or an order or control outside 1..m)
-    raises ValueError, and so do an m below 1, before any line is pulled, a
-    line pulled after line m, and lines that end before line m unless a
-    failed qubit stopped the run first.
+    None for a line without an H.  Any sequences of ints serve as columns;
+    columns that are not arrays, lists for example, skip the textbook
+    comparison and are decided by their weights, to the same verdict.
+    ``lines`` is consumed lazily, one line at a time, so a streamed circuit
+    never needs to exist whole.  A malformed line (columns of unequal
+    length, or an order or control outside 1..m) raises ValueError, and so
+    do an m below 1, before any line is pulled, a line pulled after line m,
+    and lines that end before line m unless a failed qubit stopped the run
+    first.
     Per-qubit work (summing that line's taps and checking its weights) is
     timed separately so reported times reflect the independent per-qubit
     obligations rather than the whole-circuit sweep.  In short-circuit mode

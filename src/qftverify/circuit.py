@@ -21,12 +21,13 @@ exporting a circuit never makes one.
 from __future__ import annotations
 
 import functools
+import io
 import json
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import eq
-from typing import Iterable, Iterator, Union
+from typing import BinaryIO, Iterable, Iterator, Union
 
 __all__ = [
     "GateInstance",
@@ -172,7 +173,9 @@ class CircuitDescription:
     def _from_columns(cls, m: int, targets: Iterable[int], orders: Iterable[int],
                       controls: Iterable[int]) -> CircuitDescription:
         """The column constructor.  It checks m only: the caller vouches
-        that the columns hold legal gates, so every value is in 0..m."""
+        that the columns hold legal gates, so every value is in 0..m.  A
+        column that is already an array of m's typecode is kept, not copied,
+        so the caller hands it over."""
         c = object.__new__(cls)
         c._fill(m, targets, orders, controls)
         return c
@@ -180,9 +183,11 @@ class CircuitDescription:
     def _fill(self, m: int, targets: Iterable[int], orders: Iterable[int],
               controls: Iterable[int]) -> None:
         code = _typecode(m)
-        for name, value in (("m", m), ("targets", array(code, targets)),
-                            ("orders", array(code, orders)), ("controls", array(code, controls))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "m", m)
+        for name, column in (("targets", targets), ("orders", orders), ("controls", controls)):
+            if not (type(column) is array and column.typecode == code):
+                column = array(code, column)
+            object.__setattr__(self, name, column)
 
     def __hash__(self) -> int:
         # arrays are unhashable; one m means one typecode, so bytes compare as values
@@ -208,16 +213,17 @@ def qft_gate_count(m: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _naturals(m: int) -> list[int]:
-    # never mutated: slicing one list of shared ints is several times cheaper
-    # than list(range(..)), which allocates a new int per entry
-    return list(range(m + 1))
+def _naturals(m: int) -> array:
+    # never mutated: every canonical line is two slices of it, which copy
+    # its bytes and build no int
+    return array(_typecode(m), range(m + 1))
 
 
-def qft_line(m: int, i: int) -> tuple[list[int], list[int]]:
+def qft_line(m: int, i: int) -> tuple[array, array]:
     """Line i's rotations in the canonical circuit, as (orders, controls):
     R(n) controlled by line i+n-1, for n = 2..m-i+1.  The line's H precedes
-    them."""
+    them.  Each is an array of m's column typecode, as group_gates_by_line
+    gives a line."""
     naturals = _naturals(m)
     return naturals[2:m - i + 2], naturals[i + 1:m + 1]
 
@@ -239,14 +245,13 @@ def iter_qft_gates(m: int) -> Iterator[GateInstance]:
 
 
 def _qft_circuit(m: int, lines: Iterable[int]) -> CircuitDescription:
-    """The canonical circuit's gates on ``lines``, line by line, built as
-    columns from qft_line."""
-    targets: list[int] = []
-    orders: list[int] = []
-    controls: list[int] = []
+    """The canonical circuit's gates on ``lines``, line by line, filled into
+    array columns from qft_line."""
+    code = _typecode(m)
+    targets, orders, controls = array(code), array(code), array(code)
     for i in lines:
         line_orders, line_controls = qft_line(m, i)
-        targets += repeat(i, len(line_orders) + 1)
+        targets += array(code, (i,)) * (len(line_orders) + 1)
         orders.append(0)
         orders += line_orders
         controls.append(0)
@@ -495,9 +500,10 @@ def parse_error_spec(text: str) -> ErrorSpec:
 # {"kind": "R", "n": n, "target": i, "control": j}, ...]}, array order is
 # application order.  serialize_circuit writes one gate per line so circuit
 # diffs stay readable.  parse_circuit decodes exactly that layout, byte for
-# byte, at C speed and with no object per gate (_parse_canonical); every
-# other layout, and a canonical file that breaks a rule, goes through
-# json.loads, which accepts any JSON layout and gives every message.
+# byte, at C speed, a block at a time as it reads, and with no object per
+# gate (_parse_canonical); every other layout, and a canonical file that
+# breaks a rule, goes through json.loads, which accepts any JSON layout and
+# gives every message.
 
 
 # Gate kind -> its integer fields, named as in GateInstance, in the order
@@ -514,38 +520,44 @@ _GATE_SHAPES = {(kind, len(fields) + 1) for kind, fields in _GATE_FIELDS.items()
 _HEAD, _GATES_OPEN, _SEPARATOR, _TAIL = b'{"qubits": ', b', "gates": [\n', b",\n", b"\n]}\n"
 _SKELETONS = {b"H": b'{"kind": "H", "target": 0},\n',
               b"R": b'{"kind": "R", "n": 0, "target": 0, "control": 0},\n'}
-_FIRST_GATE = tuple(skeleton[:skeleton.index(b"0")] for skeleton in _SKELETONS.values())
 _MAX_M_DIGITS = len(str(2 ** 64 - 1))
 _DIGITS = b"0123456789"
 _DIGITS_TO_0 = bytes.maketrans(_DIGITS, b"0" * len(_DIGITS))
 _ALL_BUT_KINDS = bytes(sorted(set(range(256)) - set(b"HR")))
 _ALL_BUT_VALUES = bytes(sorted(set(range(256)) - set(_DIGITS + b",HR")))
-_BLOCK_BYTES = 1 << 20  # about this much text is decoded at once
+_BLOCK_BYTES = 1 << 20  # this much of a file is read and decoded at once
+# the longest gate line and its separator, each value _MAX_M_DIGITS long
+_LONGEST_LINE = len(_SKELETONS[b"R"]) + 3 * (_MAX_M_DIGITS - 1)
 
 
-def parse_circuit(text: str | bytes) -> CircuitDescription:
+def parse_circuit(source: str | bytes | BinaryIO) -> CircuitDescription:
     """Parse a circuit file; round-trips with serialize_circuit.
 
-    ``text`` is the file's text, or its bytes, which are read as a UTF-8
-    text file is: strictly decoded, with universal newlines.  A file in
-    exactly the layout serialize_circuit writes whose gates are all legal is
-    decoded without json.loads (_parse_canonical).  Any other file goes
-    through json.loads, and only what JSON can get wrong is checked here;
-    the value rules are the constructors'.  A file of legal gates is
-    accepted by whole-column checks alone; any other file is walked gate by
-    gate, which raises the first rule it breaks.
+    ``source`` is the file's text, its bytes, or the file itself opened for
+    binary reading and seekable; bytes are read as a UTF-8 text file is:
+    strictly decoded, with universal newlines.  A file in exactly the layout
+    serialize_circuit writes whose gates are all legal is decoded a block
+    at a time as it is read, without json.loads (_parse_canonical).  Any
+    other file is read whole from its start and goes through json.loads,
+    and only what JSON can get wrong is checked here; the value rules are
+    the constructors'.  A file of legal gates is accepted by whole-column
+    checks alone; any other file is walked gate by gate, which raises the
+    first rule it breaks.
     """
-    if isinstance(text, bytes):
-        circuit = _parse_canonical(text)
+    if isinstance(source, str):
+        text = source
+        circuit = _parse_canonical(io.BytesIO(text.encode())) if text.isascii() else None
+    else:
+        stream = io.BytesIO(source) if isinstance(source, bytes) else source
+        circuit = _parse_canonical(stream)
         if circuit is None:
+            stream.seek(0)
             try:
-                text = text.decode("utf-8")
+                text = stream.read().decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CircuitParseError(str(exc)) from None
             if "\r" in text:
                 text = text.replace("\r\n", "\n").replace("\r", "\n")
-    else:
-        circuit = _parse_canonical(text.encode()) if text.isascii() else None
     if circuit is not None:
         return circuit
     try:
@@ -572,63 +584,89 @@ def parse_circuit(text: str | bytes) -> CircuitDescription:
         raise CircuitParseError(str(exc)) from None
 
 
-def _parse_canonical(data: bytes) -> CircuitDescription | None:
-    """The circuit of ``data`` if it is byte for byte what serialize_circuit
-    writes for a circuit of legal gates, else None.
+def _parse_canonical(stream: BinaryIO) -> CircuitDescription | None:
+    """The circuit of the rest of ``stream`` if it is byte for byte what
+    serialize_circuit writes for a circuit of legal gates, else None.
 
-    The header, the first gate's opening and the last gate's closing brace
-    are checked before any pass over the whole file, so a file in another
-    layout costs almost nothing.  Then each block of whole gate lines, cut at
-    a _SEPARATOR, is checked (_block_kinds) and decoded by bytes methods,
-    with no object per gate: kept to its digits, commas and kind letters,
-    with each H given an order 0 and a control 0, the block must load as a
-    JSON array of integers, which keeps JSON's grammar (no leading zero).
-    Each gate is then three values (order, target, control), except that an
-    H's target sits in the control's slot.  The columns must
-    pass _legal_columns, as _parse_columns' must, so a file this accepts
-    gives the circuit that json.loads and _parse_columns give.
+    The header is read and checked first, so a file in another layout costs
+    almost nothing.  Then _BLOCK_BYTES are read at a time and cut after the
+    last _SEPARATOR read so far; the gate lines before the cut are decoded
+    (_decode_block) and the part after it is carried into the next read, so
+    the file is never held whole.  What is left at the end of the file must
+    be the last gate, its closing brace and _TAIL, so no separator may trail
+    the gates.  The columns each block adds must pass _legal_columns, as
+    _parse_columns' must, so a file this accepts gives the circuit that
+    json.loads and _parse_columns give.
     """
-    end = data.find(_GATES_OPEN, len(_HEAD), len(_HEAD) + _MAX_M_DIGITS + len(_GATES_OPEN))
-    if end < 0 or not data.startswith(_HEAD):
+    head = stream.read(len(_HEAD) + _MAX_M_DIGITS + len(_GATES_OPEN))
+    end = head.find(_GATES_OPEN, len(_HEAD))
+    if end < 0 or not head.startswith(_HEAD):
         return None
-    digits = data[len(_HEAD):end]
+    digits = head[len(_HEAD):end]
     m = int(digits) if digits.isdigit() and not digits.startswith(b"0") else 0
     if not 0 < m < 1 << 64:
         return None
-    start = end + len(_GATES_OPEN)
-    if len(data) == start + len(_TAIL) - 1:
-        return CircuitDescription._from_columns(m, (), (), ()) if data.endswith(_TAIL[1:]) else None
-    # the last gate's brace before _TAIL: no separator may trail the gates
-    if not (data.startswith(_FIRST_GATE, start) and data.endswith(b"}" + _TAIL)):
-        return None
-    columns = targets, orders, controls = tuple(array(_typecode(m)) for _ in range(3))
-    stop = len(data) - len(_TAIL)
-    while start < stop:
-        end = data.find(_SEPARATOR, start + _BLOCK_BYTES, stop)
-        block = data[start:stop if end < 0 else end]
-        start += len(block) + len(_SEPARATOR)
-        kinds = _block_kinds(block, len(digits))
-        if kinds is None:
+    columns = tuple(array(_typecode(m)) for _ in range(3))
+    block = bytearray(head[end + len(_GATES_OPEN):])
+    while block is not None:
+        size = len(block)
+        block += stream.read(_BLOCK_BYTES)
+        if len(block) > size:
+            cut = block.rfind(_SEPARATOR)
+            if cut < 0:
+                if len(block) > _LONGEST_LINE + len(_TAIL):  # longer than the last gate line
+                    return None
+                continue
+            rest = block[cut + len(_SEPARATOR):]
+            del block[cut:]
+        elif not columns[0] and block == _TAIL[1:]:  # no gate at all
+            break
+        elif block.endswith(b"}" + _TAIL):  # the last gate's brace, then _TAIL
+            rest = None
+            del block[-len(_TAIL):]
+        else:
             return None
-        flat = block.translate(None, _ALL_BUT_VALUES).replace(b"H,", b"0,0,")
-        try:
-            values = json.loads(b"[%b]" % flat.replace(b"R,", b""))
-        except ValueError:  # a value with a leading zero
+        if not _decode_block(m, len(digits), block, columns):
             return None
-        block_targets, block_orders, block_controls = values[1::3], values[::3], values[2::3]
-        k = kinds.find(b"H")
-        while k >= 0:  # an H's target was read into its control's slot
-            block_targets[k], block_controls[k] = block_controls[k], 0
-            k = kinds.find(b"H", k + 1)
-        if not _legal_columns(m, kinds.count(b"H"), block_targets, block_orders, block_controls):
-            return None
-        targets.extend(block_targets)
-        orders.extend(block_orders)
-        controls.extend(block_controls)
+        block = rest
     return CircuitDescription._from_columns(m, *columns)
 
 
-def _block_kinds(block: bytes, width: int) -> bytes | None:
+def _decode_block(m: int, width: int, block: bytearray, columns: tuple[array, array, array]) -> bool:
+    """Append the gates of ``block``, whole gate lines joined by
+    _SEPARATOR, to ``columns`` (targets, orders, controls) if the block
+    is laid out as serialize_circuit lays it out and its gates are legal;
+    else return False.
+
+    The block is checked (_block_kinds) and decoded by bytes methods, with
+    no object per gate: kept to its digits, commas and kind letters, with
+    each H given an order 0 and a control 0, it must load as a JSON array
+    of integers, which keeps JSON's grammar (no leading zero).  Each gate is
+    then three values (order, target, control), except that an H's target
+    sits in the control's slot.  The block's lists are freed when this
+    returns, before the next block is read.
+    """
+    kinds = _block_kinds(block, width)
+    if kinds is None:
+        return False
+    flat = block.translate(None, _ALL_BUT_VALUES).replace(b"H,", b"0,0,")
+    try:
+        values = json.loads(b"[%b]" % flat.replace(b"R,", b""))
+    except ValueError:  # a value with a leading zero
+        return False
+    targets, orders, controls = values[1::3], values[::3], values[2::3]
+    k = kinds.find(b"H")
+    while k >= 0:  # an H's target was read into its control's slot
+        targets[k], controls[k] = controls[k], 0
+        k = kinds.find(b"H", k + 1)
+    if not _legal_columns(m, kinds.count(b"H"), targets, orders, controls):
+        return False
+    for column, part in zip(columns, (targets, orders, controls)):
+        column.extend(part)
+    return True
+
+
+def _block_kinds(block: bytearray, width: int) -> bytearray | None:
     """The kind letters of ``block``'s gates if it is gate lines, joined by
     _SEPARATOR, laid out as serialize_circuit lays them out, else None.
 

@@ -41,7 +41,8 @@ _OVERALL_EXIT = {
 def _read_circuit(path: str):
     if path == "-":
         return parse_circuit(sys.stdin.read())
-    return parse_circuit(Path(path).read_bytes())
+    with open(path, "rb") as handle:  # read a block at a time, unless it cannot seek back
+        return parse_circuit(handle if handle.seekable() else handle.read())
 
 
 def _write_text(path: str, text: str) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from qftverify.abstraction import CircuitTypeError, TypeErrorKind
 from qftverify.boolexpr import FALSE, TRUE, and_, sorted_monomials, var
 from qftverify.circuit import CircuitDescription, GateInstance
 
@@ -149,3 +150,31 @@ def split_rotation(c: CircuitDescription, gate_index: int) -> CircuitDescription
     assert old.kind == "R" and old.n + 1 <= c.m
     half = GateInstance("R", old.target, n=old.n + 1, control=old.control)
     return CircuitDescription(c.m, gates[:gate_index] + (half, half) + gates[gate_index + 1:])
+
+
+def reference_grouping(c: CircuitDescription) -> list[tuple[list[int], list[int]] | None]:
+    """The wire typing as one gate-by-gate walk in program order, over the
+    circuit's columns: each line as lists of its rotations' orders and
+    controls, or None without an H.  The first gate that breaks the
+    discipline raises the CircuitTypeError that group_gates_by_line must
+    raise for it."""
+    lines = [None] * c.m
+    for ordinal, (line, n, control) in enumerate(zip(c.targets, c.orders, c.controls), start=1):
+        columns = lines[line - 1]
+        if not n:  # an H
+            if columns is None:
+                lines[line - 1] = ([], [])
+            elif columns[0]:
+                raise CircuitTypeError(TypeErrorKind.H_ON_DATA_WIRE, line, ordinal,
+                                       f"H applied to line {line} after it became a data wire")
+            else:
+                raise CircuitTypeError(TypeErrorKind.DUPLICATE_H, line, ordinal,
+                                       f"second H gate on line {line}")
+        elif columns is None:
+            raise CircuitTypeError(TypeErrorKind.RN_DATA_PORT_GOT_CONTROL, line, ordinal,
+                                   f"rotation targets line {line}, which has no preceding H "
+                                   f"(control value on a data port)")
+        else:
+            columns[0].append(n)
+            columns[1].append(control)
+    return lines

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qftverify.abstraction import CircuitTypeError, TypeErrorKind, group_gates_by_line
 from qftverify.boolexpr import (
@@ -26,7 +28,7 @@ from qftverify.circuit import (
     inject_error,
     qft_line,
 )
-from helpers import all_basis_inputs, bits_as_int, concrete_line_values
+from helpers import all_basis_inputs, bits_as_int, concrete_line_values, reference_grouping
 
 
 def vec(*bits):
@@ -170,7 +172,8 @@ class TestTypecheck:
         assert h_ordinals(c) == [1, 5, 8, 10]
         # each line's columns are its rotations, in the closed form
         assert group_gates_by_line(c) == [qft_line(4, i) for i in range(1, 5)]
-        assert group_gates_by_line(c)[0] == ([2, 3, 4], [2, 3, 4])
+        orders, controls = group_gates_by_line(c)[0]
+        assert (orders.tolist(), controls.tolist()) == ([2, 3, 4], [2, 3, 4])
 
     def test_missing_h_flags_first_rotation(self):
         mutated = inject_error(generate_qft(3), MissingH(2))
@@ -204,7 +207,8 @@ class TestTypecheck:
         # a bare line is not a type error; the property checker reports it
         c = CircuitDescription(2, (GateInstance("H", 1),))
         assert typecheck(c) is None
-        assert group_gates_by_line(c) == [([], []), None]
+        (orders, controls), unrotated = group_gates_by_line(c)
+        assert (orders.tolist(), controls.tolist(), unrotated) == ([], [], None)
 
     def test_grouping_walk_types_like_typecheck(self):
         base = generate_qft(4)
@@ -225,6 +229,86 @@ class TestTypecheck:
                 rotations = [(g.n, g.control) for g in c.gates if g.kind == "R" and g.target == line]
                 assert rotations == ([] if columns is None else list(zip(*columns)))
                 assert all(k > h for k, g in enumerate(c.gates, 1) if g.target == line and g.kind == "R")
+
+
+def grouping_outcome(group, c: CircuitDescription):
+    """What ``group`` makes of a circuit: ("lines", each line's columns as
+    lists, or None) or ("error", kind, line, gate ordinal, message)."""
+    try:
+        lines = group(c)
+    except CircuitTypeError as exc:
+        return ("error", exc.kind, exc.line, exc.gate_ordinal, str(exc))
+    return ("lines", [None if line is None else (list(line[0]), list(line[1])) for line in lines])
+
+
+@st.composite
+def rearranged_qft(draw):
+    """generate_qft(m) at m <= 7 after one to three rearrangements (all gates
+    shuffled, one gate moved to another position, or a rotation's target and
+    control swapped), or after two injected errors."""
+    m = draw(st.integers(1, 7))
+    c = generate_qft(m)
+    if draw(st.booleans()):
+        for _ in range(2):
+            specs = list(enumerate_error_specs(c))
+            if specs:
+                c = inject_error(c, draw(st.sampled_from(specs)))
+        return c
+    gates = list(zip(c.targets, c.orders, c.controls))
+    for how in draw(st.lists(st.sampled_from(("shuffle", "move", "swap")), min_size=1, max_size=3)):
+        if how == "shuffle":
+            gates = draw(st.permutations(gates))
+        elif how == "move":
+            gate = gates.pop(draw(st.integers(0, len(gates) - 1)))
+            gates.insert(draw(st.integers(0, len(gates))), gate)
+        elif m > 1:
+            k = draw(st.sampled_from([k for k, (_, n, _) in enumerate(gates) if n]))
+            target, n, control = gates[k]
+            gates[k] = (control, n, target)
+    return CircuitDescription._from_columns(m, *zip(*gates))
+
+
+class TestRunGrouping:
+    # the run grouping must give the lines, or the first error, of a walk
+    # gate by gate in program order (helpers.reference_grouping)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_every_single_mutant_agrees_with_the_gate_walk(self, m):
+        base = generate_qft(m)
+        seen = set()
+        for c in [base, *(inject_error(base, spec) for spec in enumerate_error_specs(base))]:
+            want = grouping_outcome(reference_grouping, c)
+            assert grouping_outcome(group_gates_by_line, c) == want
+            seen.add(want[1] if want[0] == "error" else "lines")
+        assert seen == ({"lines", *TypeErrorKind} if m > 1 else {"lines", TypeErrorKind.DUPLICATE_H})
+
+    def test_rearranged_circuits_agree_with_the_gate_walk(self):
+        seen = set()
+
+        @settings(max_examples=1500, deadline=None, derandomize=True)
+        @given(rearranged_qft())
+        def check(c):
+            want = grouping_outcome(reference_grouping, c)
+            assert grouping_outcome(group_gates_by_line, c) == want
+            seen.add(want[1] if want[0] == "error" else "lines")
+
+        check()
+        assert seen == {"lines", *TypeErrorKind}
+
+    # tracemalloc peak of group_gates_by_line(generate_qft(1024)): 32.7 MiB
+    # with each line as two lists of ints, 2.2 MiB with array slices.
+    PEAK_BYTES = 8 << 20
+
+    def test_lines_of_the_textbook_circuit_take_little_memory(self):
+        c = generate_qft(1024)
+        tracemalloc.start()
+        try:
+            lines = group_gates_by_line(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BYTES
+        assert lines[0] == qft_line(1024, 1) and lines[-1] == qft_line(1024, 1024)
 
 
 class TestRunAbstract:

@@ -8,7 +8,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from qftverify.abstraction import group_gates_by_line
+from qftverify import checker as checker_mod
+from qftverify.abstraction import CircuitTypeError, group_gates_by_line
 from qftverify.bench import _qft_lines, scenario_error_spec
 from qftverify.boolexpr import (
     FALSE,
@@ -245,6 +246,34 @@ class TestVerifyLines:
         lines = [qft_line(2, 1), qft_line(2, 2), None]
         with pytest.raises(ValueError, match="more than 2 lines for 2 qubits"):
             verify_lines(2, qft_gate_count(2), lines, CheckerConfig(exhaustive=True))
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_list_lines_get_the_report_of_array_lines(self, m, monkeypatch):
+        # a line of lists skips the textbook comparison, which compares
+        # arrays, and is decided by its weights to the same verdict
+        def report(lines, exhaustive):
+            rep = verify_lines(m, 0, lines, CheckerConfig(exhaustive=exhaustive))
+            return rep.overall, [(r.verdict.qubit, r.verdict.status, r.verdict.counterexample,
+                                  r.verdict.expected, r.verdict.actual, r.verdict.detail, r.backend)
+                                 for r in rep.records]
+
+        decided, decide = [], checker_mod._decide_line
+        monkeypatch.setattr(checker_mod, "_decide_line",
+                            lambda *args: decided.append(args[1]) or decide(*args))
+        base = generate_qft(m)
+        for c in [base, *(inject_error(base, spec) for spec in enumerate_error_specs(base))]:
+            try:
+                lines = group_gates_by_line(c)
+            except CircuitTypeError:
+                continue
+            listed = [None if line is None else (line[0].tolist(), line[1].tolist()) for line in lines]
+            for exhaustive in (False, True):
+                assert report(listed, exhaustive) == report(lines, exhaustive)
+        del decided[:]
+        report(group_gates_by_line(base), True)
+        assert decided == []
+        report([(orders.tolist(), controls.tolist()) for orders, controls in group_gates_by_line(base)], True)
+        assert decided == list(range(1, m + 1))
 
     def test_deep_carry_witness_matches_concrete_run(self):
         # gate-n at m = 1024: the witness rides a carry through the whole line,

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import qftverify
 from qftverify import circuit as circuit_mod
+from qftverify import cli
 from qftverify.bench import BenchConfig, run_bench
 from qftverify.checker import verify_circuit
 from qftverify.smt import write_obligations
@@ -517,7 +519,7 @@ def edited_files(draw):
 
 def json_route(text):
     """What parse_circuit gives ``text`` with the canonical layout's decoder off."""
-    with mock.patch.object(circuit_mod, "_parse_canonical", lambda data: None):
+    with mock.patch.object(circuit_mod, "_parse_canonical", lambda stream: None):
         return outcome(lambda: parse_circuit(text))
 
 
@@ -526,21 +528,24 @@ class TestCanonicalLayout:
     @given(legal_circuits())
     def test_what_serialize_writes_is_decoded_without_json(self, c):
         text = serialize_circuit(c)
-        assert circuit_mod._parse_canonical(text.encode()) == c
+        assert circuit_mod._parse_canonical(io.BytesIO(text.encode())) == c
         assert parse_circuit(text) == c == parse_circuit(text.encode())
         assert c.targets.typecode == parse_circuit(text).targets.typecode
 
     def test_zero_gates(self):
         for m in (1, 255, 256, 2 ** 32):
             c = CircuitDescription(m, [])
-            assert circuit_mod._parse_canonical(serialize_circuit(c).encode()) == c
+            assert circuit_mod._parse_canonical(io.BytesIO(serialize_circuit(c).encode())) == c
 
     @pytest.mark.parametrize("block_bytes", [circuit_mod._BLOCK_BYTES, 1, 48])
-    def test_single_edits_agree_with_the_json_route(self, monkeypatch, block_bytes):
+    def test_single_edits_agree_with_the_json_route(self, monkeypatch, tmp_path, block_bytes):
         # each edit gives the circuit or the message that json.loads and the
-        # column or gate-by-gate checks give, whether the text is str or bytes;
-        # small blocks put the edits on and between block boundaries
+        # column or gate-by-gate checks give, whether the text is str, bytes
+        # or a file the CLI reads a block at a time (a file the decoder
+        # declines is read again from its start); small blocks put the edits
+        # on and between block boundaries
         monkeypatch.setattr(circuit_mod, "_BLOCK_BYTES", block_bytes)
+        path = tmp_path / "edited.json"
         seen = set()
 
         @settings(max_examples=800, deadline=None, derandomize=True)
@@ -550,7 +555,9 @@ class TestCanonicalLayout:
             want = json_route(text)
             assert outcome(lambda: parse_circuit(text)) == want
             assert outcome(lambda: parse_circuit(text.encode())) == want
-            decoded = circuit_mod._parse_canonical(text.encode())
+            path.write_bytes(text.encode())
+            assert outcome(lambda: cli._read_circuit(str(path))) == want
+            decoded = circuit_mod._parse_canonical(io.BytesIO(text.encode()))
             if decoded is not None:  # only what serialize_circuit writes
                 assert serialize_circuit(decoded) == text
             seen.add(want[0])
@@ -559,6 +566,39 @@ class TestCanonicalLayout:
         check()
         assert seen >= {"circuit", "error", "leading-zero", "crlf", "digit", "reordered-keys",
                         "trailing-comma"}
+
+    @pytest.mark.parametrize("last_gate,message", [
+        ('{"target": 64, "kind": "H"}', None),
+        ('{"kind": "H", "target": 064}', "line 2081, column 26: Expecting ',' delimiter"),
+        ('{"kind": "H", "target": 65}', "gate 2080: target 65 out of range 1..64"),
+    ])
+    def test_file_declined_in_its_last_block_is_read_again_from_its_start(
+            self, monkeypatch, tmp_path, last_gate, message):
+        # canonical for a score of blocks, then not in the last one
+        monkeypatch.setattr(circuit_mod, "_BLOCK_BYTES", 4096)
+        decoded, decode = [], circuit_mod._decode_block
+        monkeypatch.setattr(circuit_mod, "_decode_block",
+                            lambda *args: decoded.append(decode(*args)) or decoded[-1])
+        c = generate_qft(64)
+        text = serialize_circuit(c)
+        assert text.endswith('\n{"kind": "H", "target": 64}\n]}\n')
+        text = text[:text.rindex("\n{") + 1] + last_gate + "\n]}\n"
+        path = tmp_path / "late.json"
+        path.write_bytes(text.encode())
+        got = outcome(lambda: cli._read_circuit(str(path)))
+        assert decoded.count(True) >= 20 and decoded[-1] is False
+        assert got == (("circuit", c, c.gates) if message is None else ("error", message))
+        assert got == json_route(text)
+
+    def test_line_longer_than_any_gate_is_declined_at_once(self):
+        # a canonical header, then a first line of megabytes without a
+        # separator: the decoder stops after one read instead of carrying it on
+        c = generate_qft(3)
+        text = serialize_circuit(c).replace('"H", ', '"H",' + " " * (4 << 20), 1)
+        stream = io.BytesIO(text.encode())
+        assert circuit_mod._parse_canonical(stream) is None
+        assert stream.tell() < 2 * circuit_mod._BLOCK_BYTES
+        assert parse_circuit(text.encode()) == c
 
     def test_textbook_file_takes_the_fast_path(self, monkeypatch):
         def refuse(*args):
@@ -584,6 +624,24 @@ class TestCanonicalLayout:
             tracemalloc.stop()
         assert c.gate_count == qft_gate_count(512)
         assert peak < self.PEAK_BYTES
+
+
+    # tracemalloc peak of cli._read_circuit on the m = 1024 textbook file:
+    # 36.7 MiB with the whole file read before it is decoded, 6.6 MiB read
+    # and decoded a block at a time.
+    READ_PEAK_BYTES = 16 << 20
+
+    def test_textbook_file_is_read_in_little_memory(self, tmp_path):
+        path = tmp_path / "qft1024.json"
+        path.write_text(serialize_circuit(generate_qft(1024)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            c = cli._read_circuit(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c == generate_qft(1024)
+        assert peak < self.READ_PEAK_BYTES
 
 
 class TestCompactColumns:

@@ -1,10 +1,12 @@
 import io
 import json
+import os
 import resource
 import shlex
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,22 @@ class TestGenerateVerify:
     def test_verify_reads_stdin(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_circuit(generate_qft(3))))
         assert main(["verify", "-i", "-"]) == 0
+        assert "overall: verified" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("layout", ["canonical", "compact"])
+    def test_verify_reads_a_pipe(self, tmp_path, capsys, layout):
+        # a pipe cannot seek back to its start for the json.loads route, so
+        # it is read whole before it is parsed
+        c = generate_qft(3)
+        text = serialize_circuit(c)
+        if layout == "compact":
+            text = json.dumps(json.loads(text))
+        pipe = tmp_path / "pipe.json"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        assert main(["verify", "-i", str(pipe)]) == 0
+        writer.join(timeout=10)
         assert "overall: verified" in capsys.readouterr().out
 
 
