@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
@@ -207,8 +208,7 @@ class CircuitDescription:
 def qft_gate_count(m: int) -> int:
     """Gate count of the canonical m-qubit transform circuit: m H gates plus
     one rotation per qubit pair, i.e. m*(m+1)/2 total."""
-    if m < 1:
-        raise CircuitError(f"m must be >= 1, got {m}")
+    _typecode(m)
     return m * (m + 1) // 2
 
 
@@ -236,8 +236,7 @@ def iter_qft_gates(m: int) -> Iterator[GateInstance]:
     whose own H has not yet appeared, so every control reads an initial value
     even under literal program-order execution.
     """
-    if m < 1:
-        raise CircuitError(f"m must be >= 1, got {m}")
+    _typecode(m)
     for i in range(1, m + 1):
         yield GateInstance("H", i)
         for n, control in zip(*qft_line(m, i)):
@@ -496,14 +495,14 @@ def parse_error_spec(text: str) -> ErrorSpec:
 # Circuit files
 # ---------------------------------------------------------------------------
 #
-# UTF-8 JSON: {"qubits": m, "gates": [{"kind": "H", "target": i} |
-# {"kind": "R", "n": n, "target": i, "control": j}, ...]}, array order is
-# application order.  serialize_circuit writes one gate per line so circuit
-# diffs stay readable.  parse_circuit decodes exactly that layout, byte for
-# byte, at C speed, a block at a time as it reads, and with no object per
-# gate (_parse_canonical); every other layout, and a canonical file that
-# breaks a rule, goes through json.loads, which accepts any JSON layout and
-# gives every message.
+# UTF-8 JSON: an object of the qubit count and the gates in application
+# order, each gate an object of its kind and that kind's _GATE_FIELDS.
+# serialize_circuit writes one gate per line so circuit diffs stay readable.
+# parse_circuit decodes exactly that layout, byte for byte, at C speed, a
+# block at a time as it reads, and with no object per gate
+# (_parse_canonical); every other layout, and a canonical file that breaks a
+# rule, goes through json.loads, which accepts any JSON layout and gives
+# every message.
 
 
 # Gate kind -> its integer fields, named as in GateInstance, in the order
@@ -513,53 +512,65 @@ _GATE_FIELDS = {"H": ("target",), "R": ("n", "target", "control")}
 # (kind, key count) of every well-formed gate object.
 _GATE_SHAPES = {(kind, len(fields) + 1) for kind, fields in _GATE_FIELDS.items()}
 
-# The layout serialize_circuit writes: _HEAD, m's digits, _GATES_OPEN, the
-# gate lines joined by _SEPARATOR, then _TAIL (with no gate, the "\n" that
-# ends _GATES_OPEN starts _TAIL).  A gate line with each value's digits
-# written as one "0" is its kind's skeleton, less the separator that ends it.
-_HEAD, _GATES_OPEN, _SEPARATOR, _TAIL = b'{"qubits": ', b', "gates": [\n', b",\n", b"\n]}\n"
-_SKELETONS = {b"H": b'{"kind": "H", "target": 0},\n',
-              b"R": b'{"kind": "R", "n": 0, "target": 0, "control": 0},\n'}
+# The layout serialize_circuit writes: _HEAD with m, each gate's line from
+# _LINES joined by ",", then _TAIL.  Every value is an integer >= 1 written
+# without a leading zero, so at most _MAX_M_DIGITS long in a legal file.
+_HEAD = '{"qubits": %d, "gates": ['
+_LINES = {kind: "\n{" + ", ".join([f'"kind": "{kind}"', *(f'"{f}": %d' for f in fields)]) + "}"
+          for kind, fields in _GATE_FIELDS.items()}
+_TAIL = "\n]}\n"
 _MAX_M_DIGITS = len(str(2 ** 64 - 1))
-_DIGITS = b"0123456789"
-_DIGITS_TO_0 = bytes.maketrans(_DIGITS, b"0" * len(_DIGITS))
-_ALL_BUT_KINDS = bytes(sorted(set(range(256)) - set(b"HR")))
-_ALL_BUT_VALUES = bytes(sorted(set(range(256)) - set(_DIGITS + b",HR")))
-_BLOCK_BYTES = 1 << 20  # this much of a file is read and decoded at once
-# the longest gate line and its separator, each value _MAX_M_DIGITS long
-_LONGEST_LINE = len(_SKELETONS[b"R"]) + 3 * (_MAX_M_DIGITS - 1)
+_VALUE = rb"[1-9][0-9]{0,%d}" % (_MAX_M_DIGITS - 1)
+
+
+def _layout(template: str, value: bytes = _VALUE) -> bytes:
+    """The pattern of the bytes ``template`` writes, each %d written as ``value``."""
+    return re.escape(template.encode()).replace(b"%d", value)
+
+
+_HEAD_LAYOUT = re.compile(_layout(_HEAD, b"(%b)" % _VALUE))
+_LINE_LAYOUT = b"(?:%b)" % b"|".join(map(_layout, _LINES.values()))
+_BLOCK_LAYOUT = re.compile(b"%b(?:,%b)*" % (_LINE_LAYOUT, _LINE_LAYOUT))  # lines joined by ","
+_ALL_BUT_VALUES = bytes(sorted(set(range(256)) - set(b"0123456789,HR")))
+# this much of a file is read and decoded at once; _BLOCK_LAYOUT's repeat
+# keeps a backtracking frame per gate, about 6 MiB for a 1 MiB block
+_BLOCK_BYTES = 1 << 16
+# the longest gate line, each value _MAX_M_DIGITS long
+_LONGEST_LINE = max(len(line) + line.count("%d") * (_MAX_M_DIGITS - len("%d"))
+                    for line in _LINES.values())
 
 
 def parse_circuit(source: str | bytes | BinaryIO) -> CircuitDescription:
     """Parse a circuit file; round-trips with serialize_circuit.
 
     ``source`` is the file's text, its bytes, or the file itself opened for
-    binary reading and seekable; bytes are read as a UTF-8 text file is:
-    strictly decoded, with universal newlines.  A file in exactly the layout
+    binary reading and seekable, read from where it stands.  Text is read
+    as its UTF-8 bytes, and bytes are read as a UTF-8 text file is: strictly
+    decoded, with universal newlines.  A file in exactly the layout
     serialize_circuit writes whose gates are all legal is decoded a block
     at a time as it is read, without json.loads (_parse_canonical).  Any
-    other file is read whole from its start and goes through json.loads,
-    and only what JSON can get wrong is checked here; the value rules are
-    the constructors'.  A file of legal gates is accepted by whole-column
-    checks alone; any other file is walked gate by gate, which raises the
-    first rule it breaks.
+    other file is read whole from where it stood and goes through
+    json.loads, and only what JSON can get wrong is checked here; the value
+    rules are the constructors'.  A file of legal gates is accepted by
+    whole-column checks alone; any other file is walked gate by gate, which
+    raises the first rule it breaks.
     """
-    if isinstance(source, str):
-        text = source
-        circuit = _parse_canonical(io.BytesIO(text.encode())) if text.isascii() else None
-    else:
-        stream = io.BytesIO(source) if isinstance(source, bytes) else source
-        circuit = _parse_canonical(stream)
-        if circuit is None:
-            stream.seek(0)
-            try:
-                text = stream.read().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CircuitParseError(str(exc)) from None
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        source = source.encode() if isinstance(source, str) else source
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise CircuitParseError(str(exc)) from None
+    stream = io.BytesIO(source) if isinstance(source, bytes) else source
+    start = stream.tell()
+    circuit = _parse_canonical(stream)
     if circuit is not None:
         return circuit
+    stream.seek(start)
+    try:
+        text = stream.read().decode()
+    except UnicodeDecodeError as exc:
+        raise CircuitParseError(str(exc)) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -588,102 +599,78 @@ def _parse_canonical(stream: BinaryIO) -> CircuitDescription | None:
     """The circuit of the rest of ``stream`` if it is byte for byte what
     serialize_circuit writes for a circuit of legal gates, else None.
 
-    The header is read and checked first, so a file in another layout costs
-    almost nothing.  Then _BLOCK_BYTES are read at a time and cut after the
-    last _SEPARATOR read so far; the gate lines before the cut are decoded
+    The header is read and matched first, so a file in another layout costs
+    almost nothing.  Then _BLOCK_BYTES are read at a time and cut before
+    the last "," that ends a line; the gate lines before the cut are decoded
     (_decode_block) and the part after it is carried into the next read, so
     the file is never held whole.  What is left at the end of the file must
-    be the last gate, its closing brace and _TAIL, so no separator may trail
-    the gates.  The columns each block adds must pass _legal_columns, as
-    _parse_columns' must, so a file this accepts gives the circuit that
-    json.loads and _parse_columns give.
+    be the last gate line and _TAIL, so no "," may trail the gates.  A
+    stretch with no ",\\n" longer than any gate line is declined at once,
+    not carried into the next read.  The columns each block adds must pass
+    _legal_columns, as _parse_columns' must, so a file this accepts gives
+    the circuit that json.loads and _parse_columns give.
     """
-    head = stream.read(len(_HEAD) + _MAX_M_DIGITS + len(_GATES_OPEN))
-    end = head.find(_GATES_OPEN, len(_HEAD))
-    if end < 0 or not head.startswith(_HEAD):
+    head = stream.read(len(_HEAD) - len("%d") + _MAX_M_DIGITS)
+    match = _HEAD_LAYOUT.match(head)
+    if not match or int(match[1]) >= 1 << 64:
         return None
-    digits = head[len(_HEAD):end]
-    m = int(digits) if digits.isdigit() and not digits.startswith(b"0") else 0
-    if not 0 < m < 1 << 64:
-        return None
+    m = int(match[1])
     columns = tuple(array(_typecode(m)) for _ in range(3))
-    block = bytearray(head[end + len(_GATES_OPEN):])
+    block = bytearray(head[match.end():])
+    tail = _TAIL.encode()
     while block is not None:
         size = len(block)
         block += stream.read(_BLOCK_BYTES)
         if len(block) > size:
-            cut = block.rfind(_SEPARATOR)
+            cut = block.rfind(b",\n")
             if cut < 0:
-                if len(block) > _LONGEST_LINE + len(_TAIL):  # longer than the last gate line
+                if len(block) > _LONGEST_LINE + len(tail):
                     return None
                 continue
-            rest = block[cut + len(_SEPARATOR):]
+            rest = block[cut + 1:]
             del block[cut:]
-        elif not columns[0] and block == _TAIL[1:]:  # no gate at all
-            break
-        elif block.endswith(b"}" + _TAIL):  # the last gate's brace, then _TAIL
-            rest = None
-            del block[-len(_TAIL):]
-        else:
+        elif not block.endswith(tail):
             return None
-        if not _decode_block(m, len(digits), block, columns):
+        elif block == tail and not columns[0]:  # no gate at all
+            break
+        else:
+            rest = None
+            del block[-len(tail):]
+        if not _decode_block(m, block, columns):
             return None
         block = rest
     return CircuitDescription._from_columns(m, *columns)
 
 
-def _decode_block(m: int, width: int, block: bytearray, columns: tuple[array, array, array]) -> bool:
-    """Append the gates of ``block``, whole gate lines joined by
-    _SEPARATOR, to ``columns`` (targets, orders, controls) if the block
-    is laid out as serialize_circuit lays it out and its gates are legal;
+def _decode_block(m: int, block: bytearray, columns: tuple[array, array, array]) -> bool:
+    """Append the gates of ``block``, whole gate lines joined by ",", to
+    ``columns`` (targets, orders, controls) if the block is laid out as
+    serialize_circuit lays it out (_BLOCK_LAYOUT) and its gates are legal;
     else return False.
 
-    The block is checked (_block_kinds) and decoded by bytes methods, with
-    no object per gate: kept to its digits, commas and kind letters, with
-    each H given an order 0 and a control 0, it must load as a JSON array
-    of integers, which keeps JSON's grammar (no leading zero).  Each gate is
-    then three values (order, target, control), except that an H's target
-    sits in the control's slot.  The block's lists are freed when this
-    returns, before the next block is read.
+    The block is decoded by bytes methods, with no object per gate: kept to
+    its digits, commas and kind letters, with each H given an order 0 and a
+    control 0, it loads as a JSON array of integers.  Each gate is then
+    three values (order, target, control), except that an H's target sits
+    in the control's slot.  No written value is 0, so the zero orders are
+    the H gates.  The block's lists are freed when this returns, before the
+    next block is read.
     """
-    kinds = _block_kinds(block, width)
-    if kinds is None:
+    if not _BLOCK_LAYOUT.fullmatch(block):
         return False
     flat = block.translate(None, _ALL_BUT_VALUES).replace(b"H,", b"0,0,")
-    try:
-        values = json.loads(b"[%b]" % flat.replace(b"R,", b""))
-    except ValueError:  # a value with a leading zero
-        return False
+    values = json.loads(b"[%b]" % flat.replace(b"R,", b""))
     targets, orders, controls = values[1::3], values[::3], values[2::3]
-    k = kinds.find(b"H")
-    while k >= 0:  # an H's target was read into its control's slot
+    h_count = orders.count(0)
+    k = -1
+    for _ in range(h_count):  # an H's target was read into its control's slot
+        k = orders.index(0, k + 1)
         targets[k], controls[k] = controls[k], 0
-        k = kinds.find(b"H", k + 1)
-    if not _legal_columns(m, kinds.count(b"H"), targets, orders, controls):
+    if not _legal_columns(m, h_count, targets, orders, controls):
         return False
     for column, part in zip(columns, (targets, orders, controls)):
         column.extend(part)
     return True
-
-
-def _block_kinds(block: bytearray, width: int) -> bytearray | None:
-    """The kind letters of ``block``'s gates if it is gate lines, joined by
-    _SEPARATOR, laid out as serialize_circuit lays them out, else None.
-
-    With every run of digits written as one "0", the block must be the
-    joined _SKELETONS of the kinds it names: so every byte but a value's
-    digits is where serialize_circuit puts it, and every value is there.
-    Every run of at most ``width`` digits collapses; a longer value may be
-    refused here, and the caller's range check refuses it otherwise.
-    """
-    skeleton = block.translate(_DIGITS_TO_0)
-    for _ in range((width - 1).bit_length()):  # each pass halves every run
-        skeleton = skeleton.replace(b"00", b"0")
-    kinds = skeleton.translate(None, _ALL_BUT_KINDS)
-    expected = kinds.replace(b"R", _SKELETONS[b"R"]).replace(b"H", _SKELETONS[b"H"])
-    if len(expected) != len(skeleton) + len(_SEPARATOR) or not expected.startswith(skeleton):
-        return None
-    return kinds
 
 
 def _parse_columns(m: int, entries: list) -> CircuitDescription | None:
@@ -750,9 +737,7 @@ def _parse_gates(m: int, entries: list) -> CircuitDescription:
 
 def serialize_circuit(c: CircuitDescription) -> str:
     """Deterministic canonical text for a circuit (one gate per line)."""
-    entries = [f'{{"kind": "R", "n": {n}, "target": {target}, "control": {control}}}' if n
-               else f'{{"kind": "H", "target": {target}}}'
-               for target, n, control in zip(c.targets, c.orders, c.controls)]
-    lines = [f'{{"qubits": {c.m}, "gates": [', *(entry + "," for entry in entries[:-1]),
-             *entries[-1:], "]}"]
-    return "\n".join(lines) + "\n"
+    h, r = _LINES["H"], _LINES["R"]
+    lines = [r % (n, target, control) if n else h % target
+             for target, n, control in zip(c.targets, c.orders, c.controls)]
+    return "".join([_HEAD % c.m, ",".join(lines), _TAIL])

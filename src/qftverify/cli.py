@@ -7,6 +7,7 @@ or out-of-memory error, 4 solver failure or unresolved verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -39,9 +40,9 @@ _OVERALL_EXIT = {
 
 
 def _read_circuit(path: str):
-    if path == "-":
-        return parse_circuit(sys.stdin.read())
-    with open(path, "rb") as handle:  # read a block at a time, unless it cannot seek back
+    # stdin's bytes are read as a file's are: a block at a time, unless it
+    # cannot seek back (a pipe)
+    with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as handle:
         return parse_circuit(handle if handle.seekable() else handle.read())
 
 

@@ -143,6 +143,10 @@ class TestGateValidation:
     def test_non_integer_m_rejected(self, m):
         with pytest.raises(CircuitError, match="m must be an integer"):
             CircuitDescription(m, (GateInstance("H", 1),))
+        with pytest.raises(CircuitError, match="m must be an integer"):
+            qft_gate_count(m)
+        with pytest.raises(CircuitError, match="m must be an integer"):
+            next(iter_qft_gates(m))
 
     def test_m_past_every_column_type_rejected(self):
         with pytest.raises(CircuitError, match=r"m must be below 2\*\*64"):
@@ -359,7 +363,8 @@ class TestFiles:
         ('{"qubits": 1, "gates": [{"kind": {}, "target": 1}]}', 'gate 1: kind must be "H" or "R"'),
         ("[" * 200_000 + "]" * 200_000, "recursion"),
         ('{"qubits": %s, "gates": []}' % ("9" * 5000), "digits"),
-    ], ids=["list-kind", "object-kind", "deep-nesting", "oversized-integer"])
+        ('{"qubits": 1, "gates": [{"kind": "H\udcff", "target": 1}]}', "surrogates not allowed"),
+    ], ids=["list-kind", "object-kind", "deep-nesting", "oversized-integer", "lone-surrogate"])
     def test_hostile_text_is_parse_error(self, text, match):
         with pytest.raises(CircuitParseError, match=match):
             parse_circuit(text)
@@ -495,17 +500,21 @@ def edited_files(draw):
     value = draw(st.sampled_from([match.span(1) for match in re.finditer(r": (\d+)", text)]))
     at = draw(st.integers(0, len(text)))
     edit = draw(st.sampled_from(("leading-zero", "sign", "float", "true", "above-m", "2**64",
-                                 "reordered-keys", "space", "digit", "crlf", "trailing",
-                                 "trailing-comma", "no-final-newline")))
+                                 "long-value", "reordered-keys", "space", "digit", "lone-cr",
+                                 "crlf", "trailing", "trailing-comma", "no-final-newline")))
     new_value = {"leading-zero": "0" + text[slice(*value)], "sign": "-" + text[slice(*value)],
-                 "float": "2.0", "true": "true", "above-m": str(c.m + 1), "2**64": str(2 ** 64)}
+                 "float": "2.0", "true": "true", "above-m": str(c.m + 1), "2**64": str(2 ** 64),
+                 "long-value": "1" * (circuit_mod._MAX_M_DIGITS + 1)}
+    inserted = {"space": " ", "digit": "0123456789", "lone-cr": "\r"}
     if edit in new_value:
         text = text[:value[0]] + new_value[edit] + text[value[1]:]
     elif edit == "reordered-keys" and c.gate_count:
         starts = [match.start() for match in re.finditer(r"^\{", text, re.M)][1:]
         text = reorder_keys(text, draw(st.sampled_from(starts)))
-    elif edit in ("space", "digit"):
-        text = text[:at] + draw(st.sampled_from(" " if edit == "space" else "0123456789")) + text[at:]
+    elif edit in inserted:
+        if edit == "lone-cr":  # at a value, so it can split one onto two lines
+            at = draw(st.integers(*value))
+        text = text[:at] + draw(st.sampled_from(inserted[edit])) + text[at:]
     elif edit == "crlf":
         text = text.replace("\n", "\r\n")
     elif edit == "trailing":
@@ -564,8 +573,8 @@ class TestCanonicalLayout:
             seen.add(edit)
 
         check()
-        assert seen >= {"circuit", "error", "leading-zero", "crlf", "digit", "reordered-keys",
-                        "trailing-comma"}
+        assert seen >= {"circuit", "error", "leading-zero", "long-value", "lone-cr", "crlf", "digit",
+                        "reordered-keys", "trailing-comma"}
 
     @pytest.mark.parametrize("last_gate,message", [
         ('{"target": 64, "kind": "H"}', None),
@@ -590,6 +599,18 @@ class TestCanonicalLayout:
         assert got == (("circuit", c, c.gates) if message is None else ("error", message))
         assert got == json_route(text)
 
+    @pytest.mark.parametrize("layout", ["canonical", "compact"])
+    def test_stream_is_read_from_where_it_stands(self, layout):
+        # a file the decoder declines is read again from where it stood, not
+        # from offset 0
+        c = generate_qft(3)
+        text = serialize_circuit(c)
+        if layout == "compact":
+            text = json.dumps(json.loads(text))
+        stream = io.BytesIO(b"JUNK" + text.encode())
+        stream.read(4)
+        assert outcome(lambda: parse_circuit(stream)) == ("circuit", c, c.gates)
+
     def test_line_longer_than_any_gate_is_declined_at_once(self):
         # a canonical header, then a first line of megabytes without a
         # separator: the decoder stops after one read instead of carrying it on
@@ -610,9 +631,10 @@ class TestCanonicalLayout:
         assert parse_circuit(text.encode()) == generate_qft(64) == parse_circuit(text)
 
     # tracemalloc peak of parse_circuit on the bytes of the m = 512 textbook
-    # file: 37.1 MB through json.loads, one dict per gate; 6.4 MB decoded
-    # from the canonical layout, a block of lines at a time.
-    PEAK_BYTES = 12 << 20
+    # file: 37.1 MB through json.loads, one dict per gate; 4.27 MiB decoded
+    # from the canonical layout a megabyte of lines at a time, 1.16 MiB
+    # 64 KiB at a time.
+    PEAK_BYTES = 3 << 20
 
     def test_textbook_file_decodes_in_little_memory(self):
         data = serialize_circuit(generate_qft(512)).encode()
@@ -627,9 +649,10 @@ class TestCanonicalLayout:
 
 
     # tracemalloc peak of cli._read_circuit on the m = 1024 textbook file:
-    # 36.7 MiB with the whole file read before it is decoded, 6.6 MiB read
-    # and decoded a block at a time.
-    READ_PEAK_BYTES = 16 << 20
+    # 36.7 MiB with the whole file read before it is decoded, 6.55 MiB read
+    # and decoded a megabyte at a time, 3.42 MiB 64 KiB at a time (of which
+    # the circuit's columns are 3.0 MiB).
+    READ_PEAK_BYTES = 5 << 20
 
     def test_textbook_file_is_read_in_little_memory(self, tmp_path):
         path = tmp_path / "qft1024.json"

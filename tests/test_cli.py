@@ -19,6 +19,19 @@ from helpers import CONTROL_AFTER_ITS_H
 MINISOLVER = shlex.join([sys.executable, str(Path(__file__).parent / "minisolver.py")])
 
 
+# Circuit file bytes and the message qftv gives them, read as UTF-8 text is:
+# strictly decoded, with universal newlines.
+UTF8_CASES = pytest.mark.parametrize("data,message", [
+    (serialize_circuit(generate_qft(3)).encode("utf-16"),
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"\xef\xbb\xbf" + serialize_circuit(generate_qft(3)).encode(),
+     "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (b'{"qubits": 1, "gates": [\n{"kind": "H", "target": 1\xff}\n]}\n',
+     "'utf-8' codec can't decode byte 0xff in position 50: invalid start byte"),
+    (b'{"qubits": 2,\r"gates": [}', "line 2, column 11: Expecting value"),
+], ids=["utf-16", "utf-8-bom", "invalid-utf-8", "cr-line-ends"])
+
+
 @pytest.fixture
 def qft3_file(tmp_path):
     path = tmp_path / "qft3.json"
@@ -44,7 +57,8 @@ class TestGenerateVerify:
         assert len(doc["per_qubit"]) == 3
 
     def test_verify_reads_stdin(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_circuit(generate_qft(3))))
+        text = serialize_circuit(generate_qft(3))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         assert main(["verify", "-i", "-"]) == 0
         assert "overall: verified" in capsys.readouterr().out
 
@@ -238,15 +252,7 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("data,message", [
-        (serialize_circuit(generate_qft(3)).encode("utf-16"),
-         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-        (b"\xef\xbb\xbf" + serialize_circuit(generate_qft(3)).encode(),
-         "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
-        (b'{"qubits": 1, "gates": [\n{"kind": "H", "target": 1\xff}\n]}\n',
-         "'utf-8' codec can't decode byte 0xff in position 50: invalid start byte"),
-        (b'{"qubits": 2,\r"gates": [}', "line 2, column 11: Expecting value"),
-    ], ids=["utf-16", "utf-8-bom", "invalid-utf-8", "cr-line-ends"])
+    @UTF8_CASES
     def test_file_is_read_as_utf8_text(self, tmp_path, capsys, data, message):
         # strictly UTF-8, with universal newlines: json.loads on the bytes
         # would decode UTF-16 and name a BOM otherwise
@@ -254,6 +260,21 @@ class TestErrors:
         path.write_bytes(data)
         assert main(["verify", "-i", str(path)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @UTF8_CASES
+    def test_stdin_is_read_as_the_file_is(self, tmp_path, data, message):
+        # a pipe is read whole and a redirect a block at a time, both as
+        # bytes, so the stdin encoding does not change the message
+        path = tmp_path / "encoded.json"
+        path.write_bytes(data)
+        argv = [sys.executable, "-m", "qftverify.cli", "verify", "-i", "-"]
+        latin_1 = dict(os.environ, PYTHONIOENCODING="latin-1")
+        with path.open("rb") as redirect:
+            runs = [subprocess.run(argv, input=data, capture_output=True, timeout=60),
+                    subprocess.run(argv, stdin=redirect, capture_output=True, timeout=60),
+                    subprocess.run(argv, input=data, capture_output=True, timeout=60, env=latin_1)]
+        for run in runs:
+            assert (run.returncode, run.stderr.decode()) == (3, f"error: {message}\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["inject", "--error", "incorrect-gate:target=1,target=2,ordinal=1,wrong-n=3",
