@@ -32,6 +32,7 @@ from .circuit import (
     parse_error_spec,
     qft_gate_count,
     serialize_circuit,
+    write_circuit,
 )
 from .abstraction import CircuitTypeError, TypeErrorKind
 from .checker import (

@@ -50,6 +50,7 @@ __all__ = [
     "inject_error",
     "parse_circuit",
     "serialize_circuit",
+    "write_circuit",
     "enumerate_error_specs",
     "parse_error_spec",
 ]
@@ -234,13 +235,18 @@ def iter_qft_gates(m: int) -> Iterator[GateInstance]:
     Qubit by qubit in ascending order: H on line i, then R(2)..R(m-i+1)
     targeting line i with controls i+1..m.  Controls are taken from lines
     whose own H has not yet appeared, so every control reads an initial value
-    even under literal program-order execution.
+    even under literal program-order execution.  m is checked at the call,
+    as generate_qft checks it, not at the first ``next()``.
     """
     _typecode(m)
-    for i in range(1, m + 1):
-        yield GateInstance("H", i)
-        for n, control in zip(*qft_line(m, i)):
-            yield GateInstance("R", i, n=n, control=control)
+
+    def gates() -> Iterator[GateInstance]:
+        for i in range(1, m + 1):
+            yield GateInstance("H", i)
+            for n, control in zip(*qft_line(m, i)):
+                yield GateInstance("R", i, n=n, control=control)
+
+    return gates()
 
 
 def _qft_circuit(m: int, lines: Iterable[int]) -> CircuitDescription:
@@ -497,7 +503,9 @@ def parse_error_spec(text: str) -> ErrorSpec:
 #
 # UTF-8 JSON: an object of the qubit count and the gates in application
 # order, each gate an object of its kind and that kind's _GATE_FIELDS.
-# serialize_circuit writes one gate per line so circuit diffs stay readable.
+# write_circuit writes one gate per line so circuit diffs stay readable, a
+# block of gates at a time, at C speed (_circuit_chunks); serialize_circuit
+# gives the same text whole.
 # parse_circuit decodes exactly that layout, byte for byte, at C speed, a
 # block at a time as it reads, and with no object per gate
 # (_parse_canonical); every other layout, and a canonical file that breaks a
@@ -513,10 +521,13 @@ _GATE_FIELDS = {"H": ("target",), "R": ("n", "target", "control")}
 _GATE_SHAPES = {(kind, len(fields) + 1) for kind, fields in _GATE_FIELDS.items()}
 
 # The layout serialize_circuit writes: _HEAD with m, each gate's line from
-# _LINES joined by ",", then _TAIL.  Every value is an integer >= 1 written
+# _LINES joined by ",", then _TAIL.  A line opens with its kind (_OPEN) and
+# writes each field as _FIELD.  Every value is an integer >= 1 written
 # without a leading zero, so at most _MAX_M_DIGITS long in a legal file.
 _HEAD = '{"qubits": %d, "gates": ['
-_LINES = {kind: "\n{" + ", ".join([f'"kind": "{kind}"', *(f'"{f}": %d' for f in fields)]) + "}"
+_OPEN = '\n{"kind": "%s"'
+_FIELD = ', "%s": %%d'
+_LINES = {kind: _OPEN % kind + "".join(_FIELD % f for f in fields) + "}"
           for kind, fields in _GATE_FIELDS.items()}
 _TAIL = "\n]}\n"
 _MAX_M_DIGITS = len(str(2 ** 64 - 1))
@@ -669,7 +680,7 @@ def _decode_block(m: int, block: bytearray, columns: tuple[array, array, array])
     if not _legal_columns(m, h_count, targets, orders, controls):
         return False
     for column, part in zip(columns, (targets, orders, controls)):
-        column.extend(part)
+        column.fromlist(part)
     return True
 
 
@@ -735,9 +746,47 @@ def _parse_gates(m: int, entries: list) -> CircuitDescription:
     return CircuitDescription(m, gates)
 
 
+# (column, text of a value, text of 0) in the order a line writes its
+# columns, R's fields: 0 is an H's order and control.  The order opens the
+# line with its kind, and the control closes it with "}" and the "," that
+# joins it to the next, so an H and an R make the same three lookups.
+_COLUMN_TEXTS = (("orders", (_OPEN % "R" + _FIELD % "n").encode(), (_OPEN % "H").encode()),
+                 ("targets", (_FIELD % "target").encode(), None),
+                 ("controls", (_FIELD % "control" + "},").encode(), b"},"))
+# gates written at once, about 0.9 MiB of text at m = 1024
+_WRITE_GATES = 1 << 14
+
+
+def _circuit_chunks(c: CircuitDescription) -> Iterator[bytes]:
+    """serialize_circuit's bytes for ``c``, _WRITE_GATES gates at a time.
+
+    Each block's text is made at C speed: each column of the block is
+    mapped through a table of the text of each distinct value it holds
+    (_COLUMN_TEXTS), so no table is larger than the block, whatever m is.
+    The "," after the last gate is dropped.
+    """
+    yield (_HEAD % c.m).encode()
+    gates = c.gate_count
+    for start in range(0, gates, _WRITE_GATES):
+        lookups = []
+        for name, text, zero in _COLUMN_TEXTS:
+            column = getattr(c, name)[start:start + _WRITE_GATES]
+            table = {value: text % value if value else zero for value in set(column)}
+            lookups.append(map(table.__getitem__, column))
+        block = b"".join(chain.from_iterable(zip(*lookups)))
+        yield block if start + _WRITE_GATES < gates else block[:-1]
+    yield _TAIL.encode()
+
+
 def serialize_circuit(c: CircuitDescription) -> str:
-    """Deterministic canonical text for a circuit (one gate per line)."""
-    h, r = _LINES["H"], _LINES["R"]
-    lines = [r % (n, target, control) if n else h % target
-             for target, n, control in zip(c.targets, c.orders, c.controls)]
-    return "".join([_HEAD % c.m, ",".join(lines), _TAIL])
+    """Deterministic canonical text for a circuit (one gate per line): the
+    text write_circuit writes, held whole."""
+    return b"".join(_circuit_chunks(c)).decode()
+
+
+def write_circuit(c: CircuitDescription, stream: BinaryIO) -> None:
+    """Write serialize_circuit's text for ``c`` to ``stream``, opened for
+    binary writing, as UTF-8 bytes a block of gates at a time, so the text
+    is never held whole.  parse_circuit reads such a stream back."""
+    for chunk in _circuit_chunks(c):
+        stream.write(chunk)

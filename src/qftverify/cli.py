@@ -21,7 +21,7 @@ from .circuit import (
     inject_error,
     parse_circuit,
     parse_error_spec,
-    serialize_circuit,
+    write_circuit,
 )
 from .abstraction import CircuitTypeError, bits_to_string
 
@@ -53,8 +53,18 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _write_circuit(path: str, circuit) -> None:
+    if path == "-":
+        sys.stdout.flush()  # text already printed goes ahead of the bytes
+        write_circuit(circuit, sys.stdout.buffer)
+        sys.stdout.buffer.flush()
+    else:
+        with open(path, "wb") as handle:
+            write_circuit(circuit, handle)
+
+
 def _cmd_generate(args) -> int:
-    _write_text(args.output, serialize_circuit(generate_qft(args.qubits)))
+    _write_circuit(args.output, generate_qft(args.qubits))
     return EXIT_VERIFIED
 
 
@@ -62,7 +72,7 @@ def _cmd_inject(args) -> int:
     circuit = _read_circuit(args.input)
     for spec_text in args.error:
         circuit = inject_error(circuit, parse_error_spec(spec_text))
-    _write_text(args.output, serialize_circuit(circuit))
+    _write_circuit(args.output, circuit)
     return EXIT_VERIFIED
 
 

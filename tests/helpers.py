@@ -7,7 +7,7 @@ import random
 
 from qftverify.abstraction import CircuitTypeError, TypeErrorKind
 from qftverify.boolexpr import FALSE, TRUE, and_, sorted_monomials, var
-from qftverify.circuit import CircuitDescription, GateInstance
+from qftverify.circuit import _HEAD, _LINES, _TAIL, CircuitDescription, GateInstance
 
 
 # Line 2 gets its H before it controls R(2) on line 1, so a real controlled
@@ -98,6 +98,16 @@ def concrete_line_values(c: CircuitDescription, bits: tuple[int, ...]) -> list[i
         elif bits[g.control - 1]:
             acc[t] = (acc[t] + (1 << (m - g.n))) % modulus
     return acc
+
+
+def reference_serialize(c: CircuitDescription) -> str:
+    """The circuit file written one gate at a time: _HEAD with m, each
+    gate's line from _LINES joined by ",", then _TAIL.  The block writer
+    must give exactly these bytes."""
+    h, r = _LINES["H"], _LINES["R"]
+    lines = [r % (n, target, control) if n else h % target
+             for target, n, control in zip(c.targets, c.orders, c.controls)]
+    return "".join([_HEAD % c.m, ",".join(lines), _TAIL])
 
 
 def bits_as_int(bit_tuple) -> int:

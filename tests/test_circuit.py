@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -38,7 +40,9 @@ from qftverify.circuit import (
     parse_error_spec,
     qft_gate_count,
     serialize_circuit,
+    write_circuit,
 )
+from helpers import reference_serialize
 
 GOLDEN_QFT3 = """\
 {"qubits": 3, "gates": [
@@ -89,6 +93,8 @@ class TestGenerator:
     def test_invalid_m(self):
         with pytest.raises(CircuitError):
             generate_qft(0)
+        with pytest.raises(CircuitError, match="m must be >= 1"):
+            iter_qft_gates(0)
 
     def test_columns(self):
         # program order; an H is order 0 and control 0
@@ -146,7 +152,7 @@ class TestGateValidation:
         with pytest.raises(CircuitError, match="m must be an integer"):
             qft_gate_count(m)
         with pytest.raises(CircuitError, match="m must be an integer"):
-            next(iter_qft_gates(m))
+            iter_qft_gates(m)
 
     def test_m_past_every_column_type_rejected(self):
         with pytest.raises(CircuitError, match=r"m must be below 2\*\*64"):
@@ -306,6 +312,10 @@ class TestSpecTextForm:
 class TestFiles:
     def test_golden_serialization(self):
         assert serialize_circuit(generate_qft(3)) == GOLDEN_QFT3
+        assert reference_serialize(generate_qft(3)) == GOLDEN_QFT3
+        sink = io.BytesIO()
+        write_circuit(generate_qft(3), sink)
+        assert sink.getvalue() == GOLDEN_QFT3.encode()
 
     def test_round_trip_generated(self):
         for m in (1, 2, 5, 9):
@@ -665,6 +675,113 @@ class TestCanonicalLayout:
             tracemalloc.stop()
         assert c == generate_qft(1024)
         assert peak < self.READ_PEAK_BYTES
+
+
+def random_circuit(rng: random.Random, m: int, gates: int, h_share: float) -> CircuitDescription:
+    """``gates`` legal gates on random lines of an m-qubit circuit, about
+    ``h_share`` of them H: lines come back later in the program, and an H
+    may repeat."""
+    targets, orders, controls = [], [], []
+    for _ in range(gates):
+        target = rng.randint(1, m)
+        targets.append(target)
+        if m == 1 or rng.random() < h_share:
+            orders.append(0)
+            controls.append(0)
+        else:
+            control = rng.randint(1, m - 1)
+            orders.append(rng.randint(1, m))
+            controls.append(control + (control >= target))
+    return CircuitDescription._from_columns(m, targets, orders, controls)
+
+
+@st.composite
+def long_circuits(draw):
+    """A random circuit of one to three blocks of the writer and a bit."""
+    m = draw(st.sampled_from((1, 2, 255, 256, 65_535, 65_536)) | st.integers(2, 300))
+    block = circuit_mod._WRITE_GATES
+    gates = draw(st.sampled_from((block - 1, block, block + 1)) | st.integers(block, 3 * block + 7))
+    h_share = draw(st.sampled_from((0.0, 0.05, 0.5, 1.0)))
+    return random_circuit(random.Random(draw(st.integers(0, 2 ** 32))), m, gates, h_share)
+
+
+def assert_written_as_reference(c: CircuitDescription) -> None:
+    """serialize_circuit and write_circuit give the one-gate-at-a-time
+    writer's bytes, and the file reads back as ``c``."""
+    text = reference_serialize(c)
+    assert serialize_circuit(c) == text
+    sink = io.BytesIO()
+    assert write_circuit(c, sink) is None
+    assert sink.getvalue() == text.encode()
+    assert parse_circuit(sink.getvalue()) == c
+
+
+class TestWriter:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(long_circuits())
+    def test_random_circuits_are_written_as_the_reference_writes_them(self, c):
+        assert c.gate_count >= circuit_mod._WRITE_GATES - 1
+        assert_written_as_reference(c)
+
+    @pytest.mark.parametrize("m", [1, 255, 256, 65_535, 65_536])
+    @pytest.mark.parametrize("h_share", [0.0, 0.2, 1.0])
+    def test_every_typecode_bound(self, m, h_share):
+        c = random_circuit(random.Random(m), m, 2 * circuit_mod._WRITE_GATES + 3, h_share)
+        assert_written_as_reference(c)
+
+    def test_widest_m_needs_no_table_sized_by_it(self):
+        # a table indexed by value up to m would not fit in any memory
+        m = 2 ** 64 - 1
+        c = CircuitDescription(m, (GateInstance("H", m), GateInstance("R", 1, n=m, control=m),
+                                   GateInstance("H", 1)))
+        assert c.targets.typecode == "Q"
+        assert_written_as_reference(c)
+
+    @pytest.mark.parametrize("m", [1, 2 ** 64 - 1])
+    def test_empty_circuit(self, m):
+        c = CircuitDescription(m, ())
+        assert serialize_circuit(c) == '{"qubits": %d, "gates": [\n]}\n' % m
+        assert_written_as_reference(c)
+
+    def test_h_only_over_several_blocks(self):
+        m = 65_535
+        zeros = [0] * m
+        assert_written_as_reference(CircuitDescription._from_columns(m, range(1, m + 1), zeros, zeros))
+
+    def test_lines_come_back_in_a_later_block(self):
+        # the textbook circuit twice: every line comes back, blocks later
+        c = generate_qft(200)
+        twice = CircuitDescription._from_columns(200, c.targets * 2, c.orders * 2, c.controls * 2)
+        assert twice.gate_count > 2 * circuit_mod._WRITE_GATES
+        assert_written_as_reference(twice)
+
+    # tracemalloc peak of writing the m = 1024 textbook file (29 MB) to a
+    # sink, counted from after the circuit is built: 112 MiB for one str per
+    # gate, joined and then encoded whole; 6.1 MiB a block of 16,384 gates
+    # at a time, most of it the Py_buffer that bytes.join takes per piece.
+    WRITE_PEAK_BYTES = 8 << 20
+
+    def test_textbook_file_is_written_in_little_memory(self):
+        class HashSink:
+            """A binary stream that keeps only the SHA-256 of its bytes."""
+
+            def __init__(self):
+                self.digest = hashlib.sha256()
+
+            def write(self, data):
+                self.digest.update(data)
+                return len(data)
+
+        c = generate_qft(1024)
+        sink = HashSink()
+        tracemalloc.start()
+        try:
+            write_circuit(c, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.WRITE_PEAK_BYTES
+        assert sink.digest.digest() == hashlib.sha256(serialize_circuit(c).encode()).digest()
 
 
 class TestCompactColumns:

@@ -50,6 +50,19 @@ class TestGenerateVerify:
         assert main(["generate", "--qubits", "1", "-o", "-"]) == 0
         assert '"kind": "H"' in capsys.readouterr().out
 
+    @pytest.mark.parametrize("m", [1, 3, 300])
+    def test_stdout_gets_the_file_bytes_after_its_text(self, tmp_path, monkeypatch, m):
+        # a buffered text layer over stdout's bytes: text written before the
+        # circuit is flushed ahead of it
+        path = tmp_path / "c.json"
+        assert main(["generate", "--qubits", str(m), "-o", str(path)]) == 0
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+        sys.stdout.write("before\n")
+        assert main(["generate", "--qubits", str(m), "-o", "-"]) == 0
+        assert raw.getvalue() == b"before\n" + path.read_bytes()
+        assert path.read_text(encoding="utf-8") == serialize_circuit(generate_qft(m))
+
     def test_verify_json_output(self, qft3_file, capsys):
         assert main(["verify", "-i", str(qft3_file), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -113,6 +126,14 @@ class TestInject:
         assert code == 0
         text = out.read_text()
         assert '"n": 3, "target": 1, "control": 2' in text
+
+    def test_inject_to_stdout_writes_the_file_bytes(self, qft3_file, tmp_path, capsysbinary):
+        spec = "incorrect-gate:target=1,ordinal=1,wrong-n=3"
+        out = tmp_path / "bad.json"
+        assert main(["inject", "--error", spec, "-i", str(qft3_file), "-o", str(out)]) == 0
+        assert main(["inject", "--error", spec, "-i", str(qft3_file), "-o", "-"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+        assert b'{"kind": "R", "n": 3, "target": 1, "control": 2}' in out.read_bytes()
 
     def test_bad_error_spec_is_usage_error(self, qft3_file, capsys):
         assert main(["inject", "--error", "melt:target=1", "-i", str(qft3_file), "-o", "-"]) == 3
