@@ -42,6 +42,7 @@ from .checker import (
     VerificationReport,
     verify_circuit,
     verify_lines,
+    verify_stream,
 )
 from .smt import (
     ModelAssignment,

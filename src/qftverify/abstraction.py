@@ -13,9 +13,14 @@ Control and produces the one-bit-set vector conditioned on its input; a
 rotation of order n adds, modulo 1, a one-hot vector at position n ANDed with
 its control's initial value.  Violations of this discipline are the type
 errors that expose structural circuit defects.  The typing groups a
-circuit's gates by line, and each typed line is a pair of array slices of
-the circuit's own columns, its rotations' orders and controls: a few bytes
-per gate, with no object per gate.
+circuit's gates by line, and each typed line is a pair of arrays, its
+rotations' orders and controls: a few bytes per gate, with no object per
+gate.  A circuit held whole gives slices of its own columns
+(group_gates_by_line).  A circuit streamed from a file is grouped a block
+at a time as it is decoded (_Grouping), and a line that equals its
+textbook prefix is held as that prefix's length only, so the read holds
+O(m) state plus the rotations of the lines that deviate from the textbook;
+such a line is then given as slices of qft_line's textbook columns.
 
 Controls are read at their initial values, so line i's phase is linear in
 the inputs: sum_k b_k * c_k mod 1, where the weight c_k is 2**-1 from the H
@@ -32,11 +37,12 @@ controlled phase differs (ROADMAP item 1).
 from __future__ import annotations
 
 import enum
+from array import array
 from itertools import chain, compress, count, islice
 from operator import ne
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .circuit import CircuitDescription
+from .circuit import CircuitDescription, _naturals
 
 __all__ = [
     "TypeErrorKind",
@@ -72,10 +78,10 @@ def bits_to_string(bits: Sequence[int]) -> str:
 # A typed line: its rotations' orders and controls in program order, or None
 # for a line that never receives its H.  The H is implicit: on a well-typed
 # line it is always the first gate, and it loads the line's own input.
-# group_gates_by_line and qft_line give each column as an array slice of m's
-# column typecode.  Any other sequence of ints, a list for example, is the
-# same line to every reader, but only arrays take the checker's textbook
-# comparison.
+# group_gates_by_line, _Grouping.iter_lines and qft_line give each column as
+# an array of m's column typecode.  Any other sequence of ints, a list for
+# example, is the same line to every reader, but only arrays take the
+# checker's textbook comparison.
 Line = tuple[Sequence[int], Sequence[int]] | None
 
 
@@ -86,49 +92,109 @@ def group_gates_by_line(c: CircuitDescription) -> list[Line]:
     that breaks this raises CircuitTypeError, located by program ordinal.
     Returns each line as integer columns: index 0 holds line 1, a line is
     ``(orders, controls)`` for its rotations in program order, and it is
-    None exactly when it never receives an H.
-
-    The walk steps over maximal runs of gates on one line, whose ends are
-    found at C speed.  A line's first run must open with its H, and no later
-    gate of the line may be an H, so a line is array slices of the
-    circuit's own columns, extended by each later run, and no object is
-    held per gate.
+    None exactly when it never receives an H.  Each column is an array
+    slice of the circuit's own columns, extended by each later run of the
+    line.  This is _Grouping fed the whole circuit as one block.
     """
-    targets, orders, controls = c.targets, c.orders, c.controls
-    lines: list[Line] = [None] * c.m
-    ends = compress(count(1), map(ne, targets, islice(targets, 1, None)))
-    start = 0
-    for end in chain(ends, (len(targets),) if targets else ()):
-        line = targets[start]
-        columns = lines[line - 1]
-        first = start
-        if columns is None:
-            if orders[start]:
+    grouping = _Grouping(c.m)
+    grouping.feed(c.targets, c.orders, c.controls)
+    return grouping.lines
+
+
+class _Grouping:
+    """The typed run walk of a circuit fed a block of columns at a time.
+
+    feed() steps over the maximal runs of gates on one line in a block,
+    whose ends are found at C speed.  A line's first run must open with its
+    H, and no later gate of the line may be an H.  A run cut by a block's
+    end is two runs of one line, which type and group as the one run does,
+    and a type error is located by its ordinal in the whole circuit.
+
+    ``lines`` holds each line as group_gates_by_line gives it, or, after
+    compact(), as the int length L of its textbook prefix, the first L
+    rotations of qft_line.  A later run that continues that prefix only
+    adds to L; one that deviates turns the line back into arrays, which
+    never become a prefix again.  So a circuit fed a block at a time and
+    compacted after each block holds O(m) state plus the rotations of the
+    lines that deviate from the textbook.
+    """
+
+    __slots__ = ("m", "lines", "opened")
+
+    def __init__(self, m: int):
+        self.m = m
+        self.lines: list = [None] * m
+        self.opened: list[int] = []  # lines that got their H since the last compact()
+
+    def feed(self, targets: Sequence[int], orders: Sequence[int], controls: Sequence[int],
+             offset: int = 0) -> None:
+        """Type and group the next block of the circuit's columns, which
+        follows ``offset`` gates; raise the first CircuitTypeError it holds."""
+        lines, opened = self.lines, self.opened
+        ends = compress(count(1), map(ne, targets, islice(targets, 1, None)))
+        start = 0
+        for end in chain(ends, (len(targets),) if targets else ()):
+            line = targets[start]
+            columns = lines[line - 1]
+            first = start
+            if columns is None:
+                if orders[start]:
+                    raise CircuitTypeError(
+                        TypeErrorKind.RN_DATA_PORT_GOT_CONTROL, line, offset + start + 1,
+                        f"rotation targets line {line}, which has no preceding H "
+                        f"(control value on a data port)",
+                    )
+                first += 1  # the line's H
+            elif type(columns) is int:  # a compacted textbook prefix
+                length = columns + end - start
+                if length <= self.m - line and (orders[start:end], controls[start:end]) \
+                        == _textbook(self.m, line, columns, length):
+                    lines[line - 1] = length
+                    start = end
+                    continue
+                columns = lines[line - 1] = _textbook(self.m, line, 0, columns)
+            run_orders = orders[first:end]
+            if 0 in run_orders:  # an H on a line that already has one
+                k = run_orders.index(0)
+                if k or columns and columns[0]:
+                    raise CircuitTypeError(
+                        TypeErrorKind.H_ON_DATA_WIRE, line, offset + first + k + 1,
+                        f"H applied to line {line} after it became a data wire",
+                    )
                 raise CircuitTypeError(
-                    TypeErrorKind.RN_DATA_PORT_GOT_CONTROL, line, start + 1,
-                    f"rotation targets line {line}, which has no preceding H "
-                    f"(control value on a data port)",
+                    TypeErrorKind.DUPLICATE_H, line, offset + first + k + 1,
+                    f"second H gate on line {line}",
                 )
-            first += 1  # the line's H
-        run_orders = orders[first:end]
-        if 0 in run_orders:  # an H on a line that already has one
-            k = run_orders.index(0)
-            if k or columns and columns[0]:
-                raise CircuitTypeError(
-                    TypeErrorKind.H_ON_DATA_WIRE, line, first + k + 1,
-                    f"H applied to line {line} after it became a data wire",
-                )
-            raise CircuitTypeError(
-                TypeErrorKind.DUPLICATE_H, line, first + k + 1,
-                f"second H gate on line {line}",
-            )
-        if columns is None:
-            lines[line - 1] = run_orders, controls[first:end]
-        else:
-            columns[0].extend(run_orders)
-            columns[1].extend(controls[first:end])
-        start = end
-    return lines
+            if columns is None:
+                lines[line - 1] = run_orders, controls[first:end]
+                opened.append(line)
+            else:
+                columns[0].extend(run_orders)
+                columns[1].extend(controls[first:end])
+            start = end
+
+    def compact(self) -> None:
+        """Hold each line opened since the last compact() as the length of
+        its textbook prefix if its arrays equal that prefix."""
+        m, lines = self.m, self.lines
+        for line in self.opened:
+            length = len(lines[line - 1][0])
+            if length <= m - line and lines[line - 1] == _textbook(m, line, 0, length):
+                lines[line - 1] = length
+        self.opened.clear()
+
+    def iter_lines(self) -> Iterator[Line]:
+        """Lines 1..m as group_gates_by_line gives them, a compacted line
+        made anew from its textbook prefix as it is pulled."""
+        for i, line in enumerate(self.lines, start=1):
+            yield _textbook(self.m, i, 0, line) if type(line) is int else line
+
+
+def _textbook(m: int, i: int, start: int, stop: int) -> tuple[array, array]:
+    """Rotations start..stop-1, counted from 0, of line i's qft_line(m, i),
+    as the slices of _naturals(m) that qft_line takes."""
+    naturals = _naturals(m)
+    return naturals[2 + start:2 + stop], naturals[i + 1 + start:i + 1 + stop]
 
 
 def _check_line(m: int, i: int, orders: Sequence[int], controls: Sequence[int]) -> None:

@@ -11,9 +11,12 @@ control tapped once is compared by its order alone; only the others are
 summed.  The input b = e_k, with only b_k set, separates any k that
 differs, so every refutation carries a counterexample by construction.  A
 line whose arrays equal the textbook one's is verified by one comparison of
-their bytes before any of this.  A counterexample is held as the set of
-inputs it sets to 1, and both routes read the target's and the line's phase
-off that set with one function, _witness.
+their bytes before any of this.  verify_circuit decides a circuit held
+whole; verify_stream decides a circuit file as it is read, holding O(m)
+state plus the lines that deviate from the textbook, and both end in
+verify_lines.  A counterexample is held as the set of inputs it sets to 1,
+and both routes read the target's and the line's phase off that set with
+one function, _witness.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 from . import smt
-from .abstraction import CircuitTypeError, Line, _line_taps, _weight, bits_to_string, group_gates_by_line
-from .circuit import CircuitDescription, qft_line
+from .abstraction import (CircuitTypeError, Line, _Grouping, _line_taps, _weight, bits_to_string,
+                          group_gates_by_line)
+from .circuit import CircuitDescription, _byte_stream, _read, qft_line
 
 __all__ = [
     "CheckerConfig",
@@ -34,6 +38,7 @@ __all__ = [
     "VerificationReport",
     "verify_lines",
     "verify_circuit",
+    "verify_stream",
 ]
 
 VERIFIED = "verified"
@@ -226,15 +231,17 @@ def verify_lines(m: int, gate_count: int, lines: Iterable[Line],
 
     ``lines`` yields line 1, 2, .., m in order, each as group_gates_by_line
     gives it: ``(orders, controls)`` for its rotations in program order, or
-    None for a line without an H.  Any sequences of ints serve as columns;
-    columns that are not arrays, lists for example, skip the textbook
-    comparison and are decided by their weights, to the same verdict.
-    ``lines`` is consumed lazily, one line at a time, so a streamed circuit
-    never needs to exist whole.  A malformed line (columns of unequal
-    length, or an order or control outside 1..m) raises ValueError, and so
-    do an m below 1, before any line is pulled, a line pulled after line m,
-    and lines that end before line m unless a failed qubit stopped the run
-    first.
+    None for a line without an H.  A line need not be slices of a circuit's
+    columns: verify_stream gives a textbook line as slices of qft_line's
+    columns and only a deviating line as arrays of its own.  Any sequences
+    of ints serve as columns; columns that are not arrays, lists for
+    example, skip the textbook comparison and are decided by their weights,
+    to the same verdict.  ``lines`` is consumed lazily, one line at a time,
+    so a streamed circuit never needs to exist whole.  A malformed line
+    (columns of unequal length, or an order or control outside 1..m) raises
+    ValueError, and so do an m below 1, before any line is pulled, a line
+    pulled after line m, and lines that end before line m unless a failed
+    qubit stopped the run first.
     Per-qubit work (summing that line's taps and checking its weights) is
     timed separately so reported times reflect the independent per-qubit
     obligations rather than the whole-circuit sweep.  In short-circuit mode
@@ -276,9 +283,49 @@ def verify_circuit(c: CircuitDescription, cfg: CheckerConfig | None = None) -> V
     try:
         lines = group_gates_by_line(c)
     except CircuitTypeError as exc:
-        return VerificationReport(
-            qubits=c.m, gate_count=c.gate_count, overall=TYPE_ERROR,
-            type_error_kind=exc.kind.value, type_error_line=exc.line,
-            type_error_gate=exc.gate_ordinal, type_error_message=str(exc),
-        )
+        return _type_error_report(c.m, c.gate_count, exc)
     return verify_lines(c.m, c.gate_count, lines, cfg)
+
+
+def verify_stream(source: str | bytes | BinaryIO, cfg: CheckerConfig | None = None) -> VerificationReport:
+    """The report of verify_circuit(parse_circuit(source), cfg), without
+    holding the circuit.
+
+    A file in the canonical layout is grouped a block at a time as it is
+    decoded (abstraction._Grouping), so the read holds O(m) state plus the
+    rotations of the lines that deviate from the textbook.  A type error
+    stops the grouping but not the reading, so a parse error later in the
+    file still outranks it, and the report counts the whole file's gates.
+    Any other file is parsed whole and goes through verify_circuit.
+    """
+    cfg = cfg or CheckerConfig()
+    source = _byte_stream(source)  # frees the text if the caller let it go
+    return _read(source, lambda m, blocks: _verify_blocks(m, blocks, cfg), lambda c: verify_circuit(c, cfg))
+
+
+def _verify_blocks(m: int, blocks: Iterable[tuple[Sequence[int], Sequence[int], Sequence[int]]],
+                   cfg: CheckerConfig) -> VerificationReport:
+    """Type, group and decide the circuit whose columns ``blocks`` yields a block at a time."""
+    grouping = _Grouping(m)
+    gate_count = 0
+    error = None
+    for targets, orders, controls in blocks:
+        if error is None:
+            try:
+                grouping.feed(targets, orders, controls, gate_count)
+            except CircuitTypeError as exc:
+                error = exc
+            else:
+                grouping.compact()
+        gate_count += len(targets)
+    if error is not None:
+        return _type_error_report(m, gate_count, error)
+    return verify_lines(m, gate_count, grouping.iter_lines(), cfg)
+
+
+def _type_error_report(m: int, gate_count: int, exc: CircuitTypeError) -> VerificationReport:
+    return VerificationReport(
+        qubits=m, gate_count=gate_count, overall=TYPE_ERROR,
+        type_error_kind=exc.kind.value, type_error_line=exc.line,
+        type_error_gate=exc.gate_ordinal, type_error_message=str(exc),
+    )

@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import eq
-from typing import BinaryIO, Iterable, Iterator, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar, Union
 
 __all__ = [
     "GateInstance",
@@ -506,11 +506,12 @@ def parse_error_spec(text: str) -> ErrorSpec:
 # write_circuit writes one gate per line so circuit diffs stay readable, a
 # block of gates at a time, at C speed (_circuit_chunks); serialize_circuit
 # gives the same text whole.
-# parse_circuit decodes exactly that layout, byte for byte, at C speed, a
-# block at a time as it reads, and with no object per gate
-# (_parse_canonical); every other layout, and a canonical file that breaks a
-# rule, goes through json.loads, which accepts any JSON layout and gives
-# every message.
+# The reader decodes exactly that layout, byte for byte, at C speed, a
+# block at a time as it reads, and with no object per gate (_canonical),
+# and hands each block to its consumer: parse_circuit joins the blocks into
+# columns, and checker.verify_stream groups them as they come.  Every other
+# layout, and a canonical file that breaks a rule, goes through json.loads,
+# which accepts any JSON layout and gives every message (_read).
 
 
 # Gate kind -> its integer fields, named as in GateInstance, in the order
@@ -551,6 +552,16 @@ _LONGEST_LINE = max(len(line) + line.count("%d") * (_MAX_M_DIGITS - len("%d"))
                     for line in _LINES.values())
 
 
+class _NotCanonical(Exception):
+    """The file is not byte for byte what serialize_circuit writes for a
+    circuit of legal gates."""
+
+
+# A block's columns, (targets, orders, controls), as arrays of m's typecode.
+_Block = tuple[array, array, array]
+_T = TypeVar("_T")
+
+
 def parse_circuit(source: str | bytes | BinaryIO) -> CircuitDescription:
     """Parse a circuit file; round-trips with serialize_circuit.
 
@@ -559,23 +570,59 @@ def parse_circuit(source: str | bytes | BinaryIO) -> CircuitDescription:
     as its UTF-8 bytes, and bytes are read as a UTF-8 text file is: strictly
     decoded, with universal newlines.  A file in exactly the layout
     serialize_circuit writes whose gates are all legal is decoded a block
-    at a time as it is read, without json.loads (_parse_canonical).  Any
-    other file is read whole from where it stood and goes through
-    json.loads, and only what JSON can get wrong is checked here; the value
-    rules are the constructors'.  A file of legal gates is accepted by
-    whole-column checks alone; any other file is walked gate by gate, which
-    raises the first rule it breaks.
+    at a time as it is read, without json.loads (_canonical), and the
+    blocks are joined into the circuit's columns.  Any other file is read
+    whole from where it stood and goes through json.loads, and only what
+    JSON can get wrong is checked here; the value rules are the
+    constructors'.  A file of legal gates is accepted by whole-column
+    checks alone; any other file is walked gate by gate, which raises the
+    first rule it breaks.
     """
+    source = _byte_stream(source)  # frees the text if the caller let it go
+    return _read(source, _join_blocks, lambda circuit: circuit)
+
+
+def _byte_stream(source: str | bytes | BinaryIO) -> BinaryIO:
+    """``source``, what parse_circuit takes, as a binary stream."""
     try:
         source = source.encode() if isinstance(source, str) else source
     except UnicodeEncodeError as exc:  # a lone surrogate
         raise CircuitParseError(str(exc)) from None
-    stream = io.BytesIO(source) if isinstance(source, bytes) else source
+    return io.BytesIO(source) if isinstance(source, bytes) else source
+
+
+def _read(stream: BinaryIO, consume: Callable[[int, Iterator[_Block]], _T],
+          fallback: Callable[[CircuitDescription], _T]) -> _T:
+    """``consume(m, blocks)`` of the circuit file that is the rest of
+    ``stream`` if it is in the canonical layout, where ``blocks`` yields
+    its decoded blocks (_canonical); else ``fallback`` of the circuit that
+    json.loads reads from it.
+
+    A file that _canonical declines, at its header or in any later block,
+    is read again from where it stood; ``consume`` is then given up, and
+    its state is freed before the file is read again.
+    """
     start = stream.tell()
-    circuit = _parse_canonical(stream)
-    if circuit is not None:
-        return circuit
+    try:
+        return consume(*_canonical(stream))
+    except _NotCanonical:
+        pass
     stream.seek(start)
+    return fallback(_parse_json(stream))
+
+
+def _join_blocks(m: int, blocks: Iterator[_Block]) -> CircuitDescription:
+    """The circuit whose columns are ``blocks`` joined in order."""
+    code = _typecode(m)
+    columns = array(code), array(code), array(code)
+    for block in blocks:
+        for column, part in zip(columns, block):
+            column += part
+    return CircuitDescription._from_columns(m, *columns)
+
+
+def _parse_json(stream: BinaryIO) -> CircuitDescription:
+    """The circuit of the rest of ``stream``, read whole through json.loads."""
     try:
         text = stream.read().decode()
     except UnicodeDecodeError as exc:
@@ -606,29 +653,36 @@ def parse_circuit(source: str | bytes | BinaryIO) -> CircuitDescription:
         raise CircuitParseError(str(exc)) from None
 
 
-def _parse_canonical(stream: BinaryIO) -> CircuitDescription | None:
-    """The circuit of the rest of ``stream`` if it is byte for byte what
-    serialize_circuit writes for a circuit of legal gates, else None.
+def _canonical(stream: BinaryIO) -> tuple[int, Iterator[_Block]]:
+    """m and the decoded blocks of the rest of ``stream`` if it is byte for
+    byte what serialize_circuit writes for a circuit of legal gates; the
+    header is read and matched here, so a file in another layout costs
+    almost nothing, and the blocks raise _NotCanonical where the file
+    breaks the layout or holds an illegal gate.
 
-    The header is read and matched first, so a file in another layout costs
-    almost nothing.  Then _BLOCK_BYTES are read at a time and cut before
-    the last "," that ends a line; the gate lines before the cut are decoded
+    The blocks are _BLOCK_BYTES read at a time and cut before the last ","
+    that ends a line; the gate lines before the cut are decoded
     (_decode_block) and the part after it is carried into the next read, so
-    the file is never held whole.  What is left at the end of the file must
-    be the last gate line and _TAIL, so no "," may trail the gates.  A
-    stretch with no ",\\n" longer than any gate line is declined at once,
-    not carried into the next read.  The columns each block adds must pass
-    _legal_columns, as _parse_columns' must, so a file this accepts gives
-    the circuit that json.loads and _parse_columns give.
+    the file is never held whole, and each block's columns are freed once
+    the consumer lets them go.  What is left at the end of the file must be
+    the last gate line and _TAIL, so no "," may trail the gates.  A stretch
+    with no ",\\n" longer than any gate line is declined at once, not
+    carried into the next read.  Each block's columns must pass
+    _legal_columns, as _parse_columns' must, so a file whose blocks all
+    decode gives the circuit that json.loads and _parse_columns give.
     """
     head = stream.read(len(_HEAD) - len("%d") + _MAX_M_DIGITS)
     match = _HEAD_LAYOUT.match(head)
     if not match or int(match[1]) >= 1 << 64:
-        return None
+        raise _NotCanonical
     m = int(match[1])
-    columns = tuple(array(_typecode(m)) for _ in range(3))
-    block = bytearray(head[match.end():])
+    return m, _blocks(stream, m, bytearray(head[match.end():]))
+
+
+def _blocks(stream: BinaryIO, m: int, block: bytearray) -> Iterator[_Block]:
+    """The decoded blocks of _canonical, ``block`` the bytes already read."""
     tail = _TAIL.encode()
+    gates = False
     while block is not None:
         size = len(block)
         block += stream.read(_BLOCK_BYTES)
@@ -636,39 +690,36 @@ def _parse_canonical(stream: BinaryIO) -> CircuitDescription | None:
             cut = block.rfind(b",\n")
             if cut < 0:
                 if len(block) > _LONGEST_LINE + len(tail):
-                    return None
+                    raise _NotCanonical
                 continue
             rest = block[cut + 1:]
             del block[cut:]
         elif not block.endswith(tail):
-            return None
-        elif block == tail and not columns[0]:  # no gate at all
-            break
+            raise _NotCanonical
+        elif block == tail and not gates:  # no gate at all
+            return
         else:
             rest = None
             del block[-len(tail):]
-        if not _decode_block(m, block, columns):
-            return None
+        yield _decode_block(m, block)
+        gates = True
         block = rest
-    return CircuitDescription._from_columns(m, *columns)
 
 
-def _decode_block(m: int, block: bytearray, columns: tuple[array, array, array]) -> bool:
-    """Append the gates of ``block``, whole gate lines joined by ",", to
-    ``columns`` (targets, orders, controls) if the block is laid out as
-    serialize_circuit lays it out (_BLOCK_LAYOUT) and its gates are legal;
-    else return False.
+def _decode_block(m: int, block: bytearray) -> _Block:
+    """The columns of the gates of ``block``, whole gate lines joined by
+    ",", if the block is laid out as serialize_circuit lays it out
+    (_BLOCK_LAYOUT) and its gates are legal; else raise _NotCanonical.
 
     The block is decoded by bytes methods, with no object per gate: kept to
     its digits, commas and kind letters, with each H given an order 0 and a
     control 0, it loads as a JSON array of integers.  Each gate is then
     three values (order, target, control), except that an H's target sits
     in the control's slot.  No written value is 0, so the zero orders are
-    the H gates.  The block's lists are freed when this returns, before the
-    next block is read.
+    the H gates.  The block's lists are freed when this returns.
     """
     if not _BLOCK_LAYOUT.fullmatch(block):
-        return False
+        raise _NotCanonical
     flat = block.translate(None, _ALL_BUT_VALUES).replace(b"H,", b"0,0,")
     values = json.loads(b"[%b]" % flat.replace(b"R,", b""))
     targets, orders, controls = values[1::3], values[::3], values[2::3]
@@ -678,10 +729,12 @@ def _decode_block(m: int, block: bytearray, columns: tuple[array, array, array])
         k = orders.index(0, k + 1)
         targets[k], controls[k] = controls[k], 0
     if not _legal_columns(m, h_count, targets, orders, controls):
-        return False
+        raise _NotCanonical
+    code = _typecode(m)
+    columns = array(code), array(code), array(code)
     for column, part in zip(columns, (targets, orders, controls)):
-        column.fromlist(part)
-    return True
+        column.fromlist(part)  # faster than array(code, part)
+    return columns
 
 
 def _parse_columns(m: int, entries: list) -> CircuitDescription | None:

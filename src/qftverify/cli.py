@@ -14,7 +14,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import oracle as oracle_mod
 from . import smt as smt_mod
-from .checker import TYPE_ERROR, UNRESOLVED, VERIFIED, VIOLATION, CheckerConfig, verify_circuit
+from .checker import TYPE_ERROR, UNRESOLVED, VERIFIED, VIOLATION, CheckerConfig, verify_stream
 from .circuit import (
     CircuitError,
     generate_qft,
@@ -39,11 +39,11 @@ _OVERALL_EXIT = {
 }
 
 
-def _read_circuit(path: str):
-    # stdin's bytes are read as a file's are: a block at a time, unless it
-    # cannot seek back (a pipe)
+def _read_circuit(path: str, read=parse_circuit):
+    # ``read`` is parse_circuit or verify_stream, which read stdin's bytes as
+    # a file's: a block at a time, unless it cannot seek back (a pipe)
     with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as handle:
-        return parse_circuit(handle if handle.seekable() else handle.read())
+        return read(handle if handle.seekable() else handle.read())
 
 
 def _write_text(path: str, text: str) -> None:
@@ -83,9 +83,8 @@ def _cmd_verify(args) -> int:
         solver = smt_mod.SolverConfig(command=args.solver, timeout_s=args.timeout)
     elif args.timeout is not None:
         raise ValueError("--timeout needs --solver")
-    circuit = _read_circuit(args.input)
     cfg = CheckerConfig(exhaustive=args.exhaustive, solver=solver)
-    report = verify_circuit(circuit, cfg)
+    report = _read_circuit(args.input, lambda source: verify_stream(source, cfg))
     if args.json:
         print(report.to_json())
     else:

@@ -538,8 +538,20 @@ def edited_files(draw):
 
 def json_route(text):
     """What parse_circuit gives ``text`` with the canonical layout's decoder off."""
-    with mock.patch.object(circuit_mod, "_parse_canonical", lambda stream: None):
+    def decline(stream):
+        raise circuit_mod._NotCanonical
+
+    with mock.patch.object(circuit_mod, "_canonical", decline):
         return outcome(lambda: parse_circuit(text))
+
+
+def canonical_route(stream):
+    """The circuit the canonical layout's decoder alone reads from ``stream``,
+    or None where it declines the file."""
+    try:
+        return circuit_mod._join_blocks(*circuit_mod._canonical(stream))
+    except circuit_mod._NotCanonical:
+        return None
 
 
 class TestCanonicalLayout:
@@ -547,14 +559,14 @@ class TestCanonicalLayout:
     @given(legal_circuits())
     def test_what_serialize_writes_is_decoded_without_json(self, c):
         text = serialize_circuit(c)
-        assert circuit_mod._parse_canonical(io.BytesIO(text.encode())) == c
+        assert canonical_route(io.BytesIO(text.encode())) == c
         assert parse_circuit(text) == c == parse_circuit(text.encode())
         assert c.targets.typecode == parse_circuit(text).targets.typecode
 
     def test_zero_gates(self):
         for m in (1, 255, 256, 2 ** 32):
             c = CircuitDescription(m, [])
-            assert circuit_mod._parse_canonical(io.BytesIO(serialize_circuit(c).encode())) == c
+            assert canonical_route(io.BytesIO(serialize_circuit(c).encode())) == c
 
     @pytest.mark.parametrize("block_bytes", [circuit_mod._BLOCK_BYTES, 1, 48])
     def test_single_edits_agree_with_the_json_route(self, monkeypatch, tmp_path, block_bytes):
@@ -576,7 +588,7 @@ class TestCanonicalLayout:
             assert outcome(lambda: parse_circuit(text.encode())) == want
             path.write_bytes(text.encode())
             assert outcome(lambda: cli._read_circuit(str(path))) == want
-            decoded = circuit_mod._parse_canonical(io.BytesIO(text.encode()))
+            decoded = canonical_route(io.BytesIO(text.encode()))
             if decoded is not None:  # only what serialize_circuit writes
                 assert serialize_circuit(decoded) == text
             seen.add(want[0])
@@ -596,8 +608,17 @@ class TestCanonicalLayout:
         # canonical for a score of blocks, then not in the last one
         monkeypatch.setattr(circuit_mod, "_BLOCK_BYTES", 4096)
         decoded, decode = [], circuit_mod._decode_block
-        monkeypatch.setattr(circuit_mod, "_decode_block",
-                            lambda *args: decoded.append(decode(*args)) or decoded[-1])
+
+        def record(*args):
+            try:
+                block = decode(*args)
+            except circuit_mod._NotCanonical:
+                decoded.append(False)
+                raise
+            decoded.append(True)
+            return block
+
+        monkeypatch.setattr(circuit_mod, "_decode_block", record)
         c = generate_qft(64)
         text = serialize_circuit(c)
         assert text.endswith('\n{"kind": "H", "target": 64}\n]}\n')
@@ -627,7 +648,7 @@ class TestCanonicalLayout:
         c = generate_qft(3)
         text = serialize_circuit(c).replace('"H", ', '"H",' + " " * (4 << 20), 1)
         stream = io.BytesIO(text.encode())
-        assert circuit_mod._parse_canonical(stream) is None
+        assert canonical_route(stream) is None
         assert stream.tell() < 2 * circuit_mod._BLOCK_BYTES
         assert parse_circuit(text.encode()) == c
 

@@ -11,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from qftverify.circuit import generate_qft, serialize_circuit
+from qftverify import circuit as circuit_mod
+from qftverify.circuit import (
+    DuplicateH,
+    IncorrectGateOrder,
+    generate_qft,
+    inject_error,
+    qft_gate_count,
+    serialize_circuit,
+)
 from qftverify.cli import main
 from qftverify.smt import emit_smt2
 from helpers import CONTROL_AFTER_ITS_H
@@ -368,6 +376,88 @@ class TestErrors:
         solver.chmod(solver.stat().st_mode | stat.S_IXUSR)
         assert main(["verify", "-i", str(qft3_file), "--solver", str(solver)]) == 4
         assert "overall: unresolved" in capsys.readouterr().out
+
+
+def _without_millis(out: str) -> dict:
+    doc = json.loads(out)
+    for entry in doc["per_qubit"]:
+        del entry["millis"]
+    return doc
+
+
+class TestStreamedVerify:
+    # qftv verify groups a canonical file a block at a time as it decodes
+    # it; the exit code and message are those of the circuit parsed whole
+    LAST_GATE = '{"kind": "H", "target": 64}\n]}\n'
+
+    def _file(self, tmp_path, c, last_gate=None):
+        text = serialize_circuit(c)
+        if last_gate is not None:
+            assert text.endswith(self.LAST_GATE)
+            text = text[:-len(self.LAST_GATE)] + last_gate + "\n]}\n"
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        return path
+
+    def test_illegal_gate_in_a_late_block_exits_3(self, tmp_path, capsys):
+        path = self._file(tmp_path, generate_qft(64), '{"kind": "H", "target": 65}')
+        assert path.stat().st_size > 1 << 16  # the gate is in the file's second block
+        assert main(["verify", "-i", str(path)]) == 3
+        assert capsys.readouterr() == ("", "error: gate 2080: target 65 out of range 1..64\n")
+
+    def test_parse_error_in_the_last_block_outranks_a_type_error_in_the_first(
+            self, tmp_path, capsys):
+        c = inject_error(generate_qft(64), DuplicateH(1))
+        path = self._file(tmp_path, c, '{"kind": "H", "target": 065}')
+        assert main(["verify", "-i", str(path)]) == 3
+        assert capsys.readouterr() == ("", "error: line 2082, column 26: Expecting ',' delimiter\n")
+
+    @pytest.mark.parametrize("line", [1, 64])
+    def test_type_error_exits_2_with_the_whole_files_gate_count(self, tmp_path, capsys, line):
+        # line 1's second H is gate 2, in the first block; line 64's is the last gate
+        path = self._file(tmp_path, inject_error(generate_qft(64), DuplicateH(line)))
+        assert main(["verify", "-i", str(path), "--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["gates"] == qft_gate_count(64) + 1
+        assert doc["type_error"]["gate"] == (2 if line == 1 else qft_gate_count(64) + 1)
+        assert doc["type_error"]["kind"] == "duplicate-h"
+
+    def test_non_canonical_file_gives_the_same_report(self, tmp_path, capsys, monkeypatch):
+        c = inject_error(generate_qft(64), IncorrectGateOrder(target=63, ordinal=1, wrong_n=3))
+        path = self._file(tmp_path, c)
+        assert main(["verify", "-i", str(path), "--json", "--exhaustive"]) == 1
+        canonical = _without_millis(capsys.readouterr().out)
+        spaced = self._file(tmp_path, c, '{"kind": "H",  "target": 64}')
+        parsed = []
+        monkeypatch.setattr(circuit_mod, "_parse_json",
+                            lambda stream, parse=circuit_mod._parse_json: parsed.append(1) or parse(stream))
+        assert main(["verify", "-i", str(spaced), "--json", "--exhaustive"]) == 1
+        assert _without_millis(capsys.readouterr().out) == canonical
+        assert parsed == [1]
+        assert [q["verdict"] for q in canonical["per_qubit"]].count("violation") == 1
+
+    @pytest.mark.parametrize("last_gate", [None, '{"kind": "H",  "target": 64}'],
+                             ids=["canonical", "non-canonical"])
+    def test_stdin_pipe_gives_the_files_report(self, tmp_path, capsys, monkeypatch, last_gate):
+        c = inject_error(generate_qft(64), IncorrectGateOrder(target=2, ordinal=5, wrong_n=3))
+        path = self._file(tmp_path, c, last_gate)
+        assert main(["verify", "-i", str(path), "--json"]) == 1
+        from_file = _without_millis(capsys.readouterr().out)
+        read_end, write_end = os.pipe()
+
+        def write():
+            with open(write_end, "wb") as end:
+                end.write(path.read_bytes())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        with open(read_end, "r") as pipe:
+            assert not pipe.buffer.seekable()
+            monkeypatch.setattr(sys, "stdin", pipe)
+            assert main(["verify", "-i", "-", "--json"]) == 1
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert _without_millis(capsys.readouterr().out) == from_file
 
 
 class TestConsoleScript:
